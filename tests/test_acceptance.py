@@ -7,12 +7,15 @@ Everything asserted here is exact; the few runtime ceilings are generous.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as Q
+from pathlib import Path
 
+import bgcert
 from bgcert.certifier import ext1_cap
 from bgcert.chern import (
     ChernVector,
@@ -200,6 +203,15 @@ _CLI_MATRIX = [
 ]
 
 
+# The bytes _run_matrix() gave before the serializers were folded into one
+# walker; every later change to the CLI output has to show up as a diff here.
+_GOLDEN = Path(__file__).with_name("cli_matrix.golden")
+
+# Children import the same bgcert as this process; if they could not import it
+# at all, both runs would print the same ModuleNotFoundError and still agree.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(bgcert.__file__).resolve().parents[1])}
+
+
 def _run_matrix() -> bytes:
     blobs = []
     for argv in _CLI_MATRIX:
@@ -207,6 +219,7 @@ def _run_matrix() -> bytes:
             [sys.executable, "-m", "bgcert", *argv],
             capture_output=True,
             check=False,
+            env=_CHILD_ENV,
         )
         blobs.append(b"$ " + " ".join(argv).encode() + b"\n")
         blobs.append(f"exit={proc.returncode}\n".encode())
@@ -221,3 +234,7 @@ def test_criterion_8_determinism():
         second = _run_matrix()
         assert first == second
         assert len(first) > 0
+
+
+def test_cli_matrix_matches_golden():
+    assert _run_matrix() == _GOLDEN.read_bytes()
