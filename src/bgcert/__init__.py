@@ -50,7 +50,7 @@ from .geometry import (
     derive_dimH,
     from_preset,
 )
-from .rationals import INFINITY, ExtendedRational, format_rational, parse_rational
+from .rationals import INFINITY, ExtendedRational, format_rational, parse_rational, to_jsonable
 from .stability import (
     SandwichReport,
     bg_discriminant,

@@ -23,13 +23,14 @@ from .geometry import (
     check_h_assumption,
     check_h_assumption_even,
     default_chi_min,
+    even_threshold,
+    full_threshold,
 )
-from .rationals import format_rational
+from .rationals import to_jsonable
 
 
 class Verdict(str, Enum):
     CERTIFIED_STRICT = "CERTIFIED_STRICT"
-    CERTIFIED = "CERTIFIED"
     CONDITIONAL = "CONDITIONAL"
     HYPOTHESIS_FAIL = "HYPOTHESIS_FAIL"
 
@@ -253,9 +254,6 @@ class Candidate:
         if self.ch2H <= 0:
             raise ValueError(f"ch2H must be positive, got {self.ch2H}")
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "c2H": self.c2H, "ch2H": format_rational(self.ch2H)}
-
 
 def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
     """All (r, c2H) with ch2H = d/2 - c2H > 0 and 2 r c2H >= (r-1) d, by (r, c2H).
@@ -306,7 +304,7 @@ class HypothesisCheck:
     mode: HypothesisMode
     applicable: bool
     dimH: int
-    threshold: Optional[Fraction]
+    threshold: Fraction
     holds: bool
 
 
@@ -325,22 +323,23 @@ class Certificate:
     verdict: Verdict
 
 
+# The JSON form of a certificate: its fields in declaration order, "p/q" rationals.
+certificate_to_jsonable = to_jsonable
+
+
 def _resolve_mode(geom: PolarizedCY3, mode) -> HypothesisCheck:
     requested = mode.value if isinstance(mode, HypothesisMode) else str(mode)
     full_holds = check_h_assumption(geom)
     even_applicable = geom.d % 2 == 0
     if requested == "auto":
-        requested = (
-            HypothesisMode.FULL.value
-            if full_holds or not even_applicable
-            else HypothesisMode.EVEN.value
-        )
+        use_full = full_holds or not even_applicable
+        requested = (HypothesisMode.FULL if use_full else HypothesisMode.EVEN).value
     if requested == HypothesisMode.FULL.value:
         return HypothesisCheck(
-            HypothesisMode.FULL, True, geom.dimH, Fraction(7 * geom.d, 6) - 3, full_holds
+            HypothesisMode.FULL, True, geom.dimH, full_threshold(geom.d), full_holds
         )
     if requested == HypothesisMode.EVEN.value:
-        threshold = Fraction(2 * geom.d, 3) - 3
+        threshold = even_threshold(geom.d)
         holds = even_applicable and check_h_assumption_even(geom)
         return HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, threshold, holds)
     raise ValueError(f"unknown mode {mode!r}; expected auto, full_1_3 or even_variant")
@@ -382,15 +381,10 @@ def certify_theorem(
             # Unreachable: the worst Case 3 bound being <= 0 is equivalent to
             # the mode hypothesis, and default Case 2 floors never violate.
             raise RuntimeError("internal: numeric case checks failed with hypotheses satisfied")
-        if status is CastelnuovoStatus.ASSERTED:
-            strict = (
-                case1.equality_lengths == (0,)
-                and all(r.ch3_bound <= 0 for r in rows)
-                and case3.worst_bound <= 0
-            )
-            verdict = Verdict.CERTIFIED_STRICT if strict else Verdict.CERTIFIED
-        else:
-            verdict = Verdict.CONDITIONAL
+        # Passing numerics are strict: Case 1 is tight only at l = 0, and every Case 2
+        # and Case 3 bound is <= 0 (Case 3 is vacuous only at d <= 2, with a bound < 0).
+        asserted = status is CastelnuovoStatus.ASSERTED
+        verdict = Verdict.CERTIFIED_STRICT if asserted else Verdict.CONDITIONAL
 
     return Certificate(
         geometry=geom,
@@ -405,78 +399,3 @@ def certify_theorem(
         violated_betas=violated,
         verdict=verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON-compatible dicts with stable field order and "p/q" rationals.
-
-
-def affine_to_jsonable(f: AffineFn) -> dict:
-    return {"slope": format_rational(f.slope), "intercept": format_rational(f.intercept)}
-
-
-def _reading_to_jsonable(reading: Case1Reading) -> dict:
-    return {
-        "rhs": affine_to_jsonable(reading.rhs),
-        "holds": reading.holds,
-        "equality_lengths": list(reading.equality_lengths),
-    }
-
-
-def certificate_to_jsonable(cert: Certificate) -> dict:
-    geom = cert.geometry
-    return {
-        "geometry": {
-            "d": geom.d,
-            "c2XH": geom.c2XH,
-            "dimH": geom.dimH,
-            "castelnuovo_known": geom.castelnuovo_known,
-        },
-        "hypothesis_mode": cert.hypothesis_mode.value,
-        "hypothesis": {
-            "mode": cert.hypothesis.mode.value,
-            "applicable": cert.hypothesis.applicable,
-            "dimH": cert.hypothesis.dimH,
-            "threshold": (
-                format_rational(cert.hypothesis.threshold)
-                if cert.hypothesis.threshold is not None
-                else None
-            ),
-            "holds": cert.hypothesis.holds,
-        },
-        "hypothesis_ok": cert.hypothesis_ok,
-        "castelnuovo_status": cert.castelnuovo_status.value,
-        "case1": {
-            "lhs": affine_to_jsonable(cert.case1.lhs),
-            "constant_reading": _reading_to_jsonable(cert.case1.constant_reading),
-            "sloped_reading": _reading_to_jsonable(cert.case1.sloped_reading),
-            "holds_for_all_lengths": cert.case1.holds_for_all_lengths,
-            "equality_lengths": list(cert.case1.equality_lengths),
-            "equality_value": (
-                format_rational(cert.case1.equality_value)
-                if cert.case1.equality_value is not None
-                else None
-            ),
-        },
-        "case2": [
-            {
-                "beta": row.beta,
-                "chi_min": row.chi_min,
-                "ch3_bound": format_rational(row.ch3_bound),
-                "ok": row.ok,
-                "source": row.source,
-            }
-            for row in cert.case2
-        ],
-        "case3": {
-            "min_ch2H": format_rational(cert.case3.min_ch2H),
-            "ch0F": cert.case3.ch0F,
-            "ext1_cap": format_rational(cert.case3.ext1_cap),
-            "worst_bound": format_rational(cert.case3.worst_bound),
-            "impossible": cert.case3.impossible,
-            "ok": cert.case3.ok,
-        },
-        "candidates": [c.to_json_dict() for c in cert.candidates],
-        "violated_betas": list(cert.violated_betas),
-        "verdict": cert.verdict.value,
-    }

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VirtualClassWarning
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 if TYPE_CHECKING:
     from .geometry import PolarizedCY3
@@ -61,15 +61,6 @@ class ChernVector:
 
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.c1 == 0 and self.ch2H == 0 and self.ch3 == 0
-
-    def to_json_dict(self) -> dict:
-        """Serialize with integer ch0/c1 and "p/q" strings for the rationals."""
-        return {
-            "ch0": self.ch0,
-            "c1": self.c1,
-            "ch2H": format_rational(self.ch2H),
-            "ch3": format_rational(self.ch3),
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChernVector":

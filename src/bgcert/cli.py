@@ -1,8 +1,9 @@
 """Command-line surface: geometry reports, candidate enumeration,
 certification, and scalar evaluation, in human or JSON form.
 
-Exit codes: 0 certified (strict or not) and all plain reports, 1 conditional
-certification, 2 hypothesis failure, 3 malformed input or configuration.
+Exit codes: 0 certified and all plain reports, 1 conditional certification,
+2 hypothesis failure, 3 malformed input or configuration. A reader that closes
+the output early ends the process by SIGPIPE, as with other Unix filters.
 JSON and human renderings are generated from the same report value, so the
 two views can never disagree.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
-from fractions import Fraction
 
 from .certifier import (
     Verdict,
@@ -28,11 +29,13 @@ from .geometry import (
     PolarizedCY3,
     check_h_assumption,
     check_h_assumption_even,
+    even_threshold,
     from_preset,
+    full_threshold,
     geometry_from_config,
     load_geometry_config,
 )
-from .rationals import format_extended, format_rational, parse_rational
+from .rationals import format_extended, format_rational, parse_rational, to_jsonable
 from .stability import bg_discriminant, slope_mu, tilt_slope_nu
 
 EXIT_OK = 0
@@ -42,7 +45,6 @@ EXIT_CONFIG = 3
 
 _VERDICT_EXIT = {
     Verdict.CERTIFIED_STRICT.value: EXIT_OK,
-    Verdict.CERTIFIED.value: EXIT_OK,
     Verdict.CONDITIONAL.value: EXIT_CONDITIONAL,
     Verdict.HYPOTHESIS_FAIL.value: EXIT_HYPOTHESIS_FAIL,
 }
@@ -177,9 +179,8 @@ def _emit(args, report, render) -> None:
 
 
 def build_geom_report(geom: PolarizedCY3, preset: str | None) -> dict:
-    full_threshold = Fraction(7 * geom.d, 6) - 3
     even_applicable = geom.d % 2 == 0
-    report = {
+    return {
         "preset": preset,
         "d": geom.d,
         "c2XH": geom.c2XH,
@@ -187,16 +188,15 @@ def build_geom_report(geom: PolarizedCY3, preset: str | None) -> dict:
         "chi_OH": geom.chi_OH,
         "castelnuovo_known": geom.castelnuovo_known,
         "hypothesis_full": {
-            "threshold": format_rational(full_threshold),
+            "threshold": format_rational(full_threshold(geom.d)),
             "holds": check_h_assumption(geom),
         },
         "hypothesis_even": {
             "applicable": even_applicable,
-            "threshold": format_rational(Fraction(2 * geom.d, 3) - 3) if even_applicable else None,
+            "threshold": format_rational(even_threshold(geom.d)) if even_applicable else None,
             "holds": check_h_assumption_even(geom) if even_applicable else None,
         },
     }
-    return report
 
 
 def render_geom(report: dict) -> str:
@@ -233,7 +233,7 @@ def cmd_geom(args) -> int:
 
 
 def build_enumerate_report(geom: PolarizedCY3) -> list[dict]:
-    return [c.to_json_dict() for c in enumerate_candidates(geom)]
+    return to_jsonable(enumerate_candidates(geom))
 
 
 def render_enumerate(report: list[dict]) -> str:
@@ -313,7 +313,7 @@ def cmd_certify(args) -> int:
 
 
 def build_eval_report(op: str, geom: PolarizedCY3 | None, ch: ChernVector, t) -> dict:
-    report: dict = {"op": op, "ch": ch.to_json_dict()}
+    report: dict = {"op": op, "ch": to_jsonable(ch)}
     if op == "chi":
         report["value"] = format_rational(euler_characteristic(geom, ch))
     elif op == "mu":
@@ -393,4 +393,7 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # Python ignores SIGPIPE; the default lets `bgcert enumerate | head` end quietly.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -104,9 +104,19 @@ def from_preset(name: str) -> PolarizedCY3:
         ) from None
 
 
+def full_threshold(d: int) -> Fraction:
+    """The bound 7d/6 - 3 that the linear-system hypothesis puts on dim|H|."""
+    return Fraction(7 * d, 6) - 3
+
+
+def even_threshold(d: int) -> Fraction:
+    """The bound 2d/3 - 3 of the even-degree variant of the hypothesis."""
+    return Fraction(2 * d, 3) - 3
+
+
 def check_h_assumption(geom: PolarizedCY3) -> bool:
     """Linear-system hypothesis dim|H| >= 7d/6 - 3."""
-    return geom.dimH >= Fraction(7 * geom.d, 6) - 3
+    return geom.dimH >= full_threshold(geom.d)
 
 
 def check_h_assumption_even(geom: PolarizedCY3) -> bool:
@@ -117,7 +127,7 @@ def check_h_assumption_even(geom: PolarizedCY3) -> bool:
     """
     if geom.d % 2 != 0:
         raise OddDegree(f"even-degree variant needs even H^3, got d = {geom.d}")
-    return geom.dimH >= Fraction(2 * geom.d, 3) - 3
+    return geom.dimH >= even_threshold(geom.d)
 
 
 def castelnuovo_range(geom: PolarizedCY3) -> list[int]:
@@ -194,6 +204,8 @@ def load_geometry_config(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = None
+    except RecursionError:
+        raise ConfigError(f"config {path}: JSON nested too deeply") from None
     if data is not None:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path}: expected a JSON object")

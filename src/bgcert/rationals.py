@@ -7,8 +7,12 @@ a positive denominator. No floating point is used anywhere in this package.
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
-from typing import Union
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Union
 
 RATIONAL_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -32,10 +36,30 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def to_jsonable(value):
+    """JSON form of a record tree: Fraction to "p/q", Enum to its value, tuple
+    or list to a list, dataclass to a dict of its fields in declaration order."""
+    return _converter(type(value))(value)
+
+
+@cache
+def _converter(cls: type) -> Callable:
+    """The conversion for one type, found once, so a walk does no reflection."""
+    if issubclass(cls, Fraction):
+        return format_rational
+    if issubclass(cls, Enum):
+        return attrgetter("value")
+    if issubclass(cls, (tuple, list)):
+        return lambda value: [to_jsonable(item) for item in value]
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))
+        return lambda value: {name: to_jsonable(getattr(value, name)) for name in names}
+    return lambda value: value  # int, bool, str, None
 
 
 class _PlusInfinity:

@@ -203,8 +203,8 @@ _CLI_MATRIX = [
 ]
 
 
-# The bytes _run_matrix() gave before the serializers were folded into one
-# walker; every later change to the CLI output has to show up as a diff here.
+# The expected bytes of _run_matrix(). A change to the CLI output has to update
+# this file in the same change, where it shows as a diff.
 _GOLDEN = Path(__file__).with_name("cli_matrix.golden")
 
 # Children import the same bgcert as this process; if they could not import it

@@ -1,6 +1,14 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import bgcert
 from bgcert.cli import (
     build_certify_report,
     build_enumerate_report,
@@ -16,6 +24,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# For the tests that need a whole `python -m bgcert` process.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(bgcert.__file__).resolve().parents[1])}
 
 
 # --- geom ------------------------------------------------------------------------
@@ -244,6 +256,40 @@ def test_config_file_flags_win(capsys, tmp_path):
 def test_config_file_missing(capsys, tmp_path):
     code, _, err = run(capsys, "geom", "--config", str(tmp_path / "nope.json"))
     assert code == 3
+
+
+def test_config_file_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgcert", "geom", "--config", str(path)],
+        capture_output=True,
+        env=_CHILD_ENV,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert b"Traceback" not in proc.stderr
+    assert str(path).encode() in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_enumerate_into_closed_pipe_ends_quietly():
+    # d = 2000 prints about 146 kB, more than a pipe holds, so the child is
+    # still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bgcert", "enumerate", "--d", "2000", "--c2h", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_CHILD_ENV,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert first == b"(1, 0)  ch2H = 1000\n"
+    assert err == b""
+    assert code == -signal.SIGPIPE
 
 
 # --- argparse interplay -------------------------------------------------------------------
