@@ -2,6 +2,7 @@
 
 Rationals are `fractions.Fraction`, which already guarantees lowest terms and
 a positive denominator. No floating point is used anywhere in this package.
+`to_jsonable`, the one JSON serializer, lives here so every module can use it.
 """
 
 from __future__ import annotations
