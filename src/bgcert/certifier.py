@@ -100,7 +100,7 @@ class Case1Trace:
     sloped_reading: Case1Reading
     holds_for_all_lengths: bool
     equality_lengths: tuple[int, ...]
-    equality_value: Optional[Fraction]
+    equality_value: Fraction
 
 
 def case1_check(geom: PolarizedCY3) -> Case1Trace:
@@ -121,14 +121,13 @@ def case1_check(geom: PolarizedCY3) -> Case1Trace:
         )
     constant, sloped = readings
     equality = constant.equality_lengths
-    value = lhs(equality[0]) if equality else None
     return Case1Trace(
         lhs=lhs,
         constant_reading=constant,
         sloped_reading=sloped,
         holds_for_all_lengths=constant.holds and sloped.holds,
         equality_lengths=equality,
-        equality_value=value,
+        equality_value=lhs(equality[0]),
     )
 
 
@@ -161,7 +160,7 @@ def case2_check(
     valid = castelnuovo_range(geom)
     supplied: dict[int, int] = {}
     for cb in bounds or ():
-        if cb.beta not in valid:
+        if not 1 <= cb.beta < (geom.d + 1) // 2:
             raise BetaOutOfRange(
                 f"curve bound at beta = {cb.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
             )
@@ -250,8 +249,9 @@ class Candidate:
             raise ValueError(f"rank must be >= 1, got {self.r}")
         if self.c2H < 0:
             raise ValueError(f"c2H must be >= 0, got {self.c2H}")
-        object.__setattr__(self, "ch2H", Fraction(self.ch2H))
-        if self.ch2H <= 0:
+        if type(self.ch2H) is not Fraction:
+            object.__setattr__(self, "ch2H", Fraction(self.ch2H))
+        if self.ch2H.numerator <= 0:
             raise ValueError(f"ch2H must be positive, got {self.ch2H}")
 
 
@@ -260,9 +260,13 @@ def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
 
     The Bogomolov-Gieseker floor ceil((r-1)d/2r) grows with r, so the scan
     stops at the first rank whose floor exceeds the largest admissible c2H.
+    ch2H depends on c2H alone, so each value is built once per c2H and the
+    same (immutable) Fraction is shared by the candidates of every rank.
     """
     d = geom.d
     c_max = (d + 1) // 2 - 1
+    half = Fraction(d, 2)
+    ch2H = [half - c for c in range(c_max + 1)]
     out = []
     r = 1
     while True:
@@ -270,7 +274,7 @@ def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
         if floor > c_max:
             break
         for c in range(floor, c_max + 1):
-            out.append(Candidate(r, c, Fraction(d, 2) - c))
+            out.append(Candidate(r, c, ch2H[c]))
         r += 1
     return out
 

@@ -137,7 +137,7 @@ def castelnuovo_range(geom: PolarizedCY3) -> list[int]:
 
 def castelnuovo_check(geom: PolarizedCY3, bound: CurveBound) -> bool:
     """Whether chi_min >= d/6 - beta holds for the given curve degree."""
-    if bound.beta not in castelnuovo_range(geom):
+    if not 1 <= bound.beta < (geom.d + 1) // 2:
         raise BetaOutOfRange(
             f"beta = {bound.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
         )

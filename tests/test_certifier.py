@@ -27,6 +27,7 @@ from bgcert.certifier import (
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
 from bgcert.errors import BetaOutOfRange, MissingBeta, NonpositiveCh2H, ZeroRank
 from bgcert.geometry import CurveBound, PolarizedCY3, castelnuovo_range, default_chi_min, from_preset
+from bgcert.rationals import to_jsonable
 
 QUINTIC = from_preset("quintic")
 CI24 = from_preset("ci24")
@@ -191,10 +192,13 @@ def test_enumerate_ci24_and_tiny():
     assert [(c.r, c.c2H) for c in enumerate_candidates(PolarizedCY3(2, 8, 0))] == [(1, 0)]
 
 
-@pytest.mark.parametrize("d", range(1, 31))
+@pytest.mark.parametrize("d", [*range(1, 61), 1999, 2000])
 def test_enumerate_matches_naive_scan(d):
     geom = PolarizedCY3(d, 12 - 2 * d, 0)
-    assert [(c.r, c.c2H) for c in enumerate_candidates(geom)] == naive_candidates(d)
+    expected = [Candidate(r, c, Q(d, 2) - c) for r, c in naive_candidates(d)]
+    got = enumerate_candidates(geom)
+    assert got == expected  # dataclass equality: field for field
+    assert all(type(c.ch2H) is Q for c in got)
 
 
 @pytest.mark.parametrize("d", range(1, 31))
@@ -204,6 +208,13 @@ def test_enumerate_output_invariants(d):
         assert c.ch2H == Q(d, 2) - c.c2H
         assert c.ch2H > 0
         assert 2 * c.r * c.c2H >= (c.r - 1) * d
+
+
+def test_candidate_coerces_ch2H_to_fraction():
+    cand = Candidate(1, 0, 1)
+    assert type(cand.ch2H) is Q
+    assert to_jsonable(cand.ch2H) == "1"
+    assert to_jsonable(cand) == {"r": 1, "c2H": 0, "ch2H": "1"}
 
 
 @pytest.mark.parametrize(

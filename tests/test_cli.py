@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import naive_candidates
 import bgcert
 from bgcert.cli import (
     build_certify_report,
@@ -110,6 +111,28 @@ def test_enumerate_small_custom_geometry(capsys):
     code, out, _ = run(capsys, "enumerate", "--d", "2", "--c2h", "20", "--json")
     assert code == 0
     assert [(c["r"], c["c2H"]) for c in json.loads(out)] == [(1, 0)]
+
+
+def _half_minus(d, c):
+    # d/2 - c as the CLI prints it, worked out in integers.
+    twice = d - 2 * c
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+# d = 2001 is odd, so every ch2H is a half-integer; chi(O(H)) = 334 for both.
+@pytest.mark.parametrize("d,c2h", [(2001, 6), (2000, 8)])
+def test_enumerate_large_degree_matches_naive_scan(capsys, d, c2h):
+    pairs = naive_candidates(d)
+    rows = [{"r": r, "c2H": c, "ch2H": _half_minus(d, c)} for r, c in pairs]
+
+    code, out, err = run(capsys, "enumerate", "--d", str(d), "--c2h", str(c2h))
+    assert (code, err) == (0, "")
+    lines = [f"({r}, {c})  ch2H = {_half_minus(d, c)}" for r, c in pairs]
+    assert out == "\n".join(lines) + f"\n{len(pairs)} candidate(s)\n"
+
+    code, out, err = run(capsys, "enumerate", "--d", str(d), "--c2h", str(c2h), "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(rows, indent=2) + "\n"
 
 
 # --- certify -----------------------------------------------------------------------
