@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .chern import ChernVector
-from .errors import BetaOutOfRange, MissingBeta, NonpositiveCh2H, ZeroRank
+from .errors import MissingBeta, NonpositiveCh2H, ZeroRank
 from .geometry import (
     CurveBound,
     PolarizedCY3,
+    castelnuovo_check,
     castelnuovo_range,
     check_h_assumption,
     check_h_assumption_even,
@@ -157,16 +158,12 @@ def case2_check(
     that the supplied bounds cover the whole range (MissingBeta otherwise).
     Duplicate supplied degrees keep the smallest chi_min.
     """
-    valid = castelnuovo_range(geom)
     supplied: dict[int, int] = {}
     for cb in bounds or ():
-        if not 1 <= cb.beta < (geom.d + 1) // 2:
-            raise BetaOutOfRange(
-                f"curve bound at beta = {cb.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
-            )
+        castelnuovo_check(geom, cb)  # BetaOutOfRange outside castelnuovo_range
         supplied[cb.beta] = min(cb.chi_min, supplied.get(cb.beta, cb.chi_min))
     rows = []
-    for beta in valid:
+    for beta in castelnuovo_range(geom):
         if beta in supplied:
             chi, source = supplied[beta], "supplied"
         elif allow_defaults:
@@ -332,21 +329,19 @@ certificate_to_jsonable = to_jsonable
 
 
 def _resolve_mode(geom: PolarizedCY3, mode) -> HypothesisCheck:
-    requested = mode.value if isinstance(mode, HypothesisMode) else str(mode)
+    """Check for "auto" or a HypothesisMode member or value; HypothesisMode() rejects the rest."""
     full_holds = check_h_assumption(geom)
     even_applicable = geom.d % 2 == 0
-    if requested == "auto":
+    if mode == "auto":
         use_full = full_holds or not even_applicable
-        requested = (HypothesisMode.FULL if use_full else HypothesisMode.EVEN).value
-    if requested == HypothesisMode.FULL.value:
+        mode = HypothesisMode.FULL if use_full else HypothesisMode.EVEN
+    if HypothesisMode(mode) is HypothesisMode.FULL:
         return HypothesisCheck(
             HypothesisMode.FULL, True, geom.dimH, full_threshold(geom.d), full_holds
         )
-    if requested == HypothesisMode.EVEN.value:
-        threshold = even_threshold(geom.d)
-        holds = even_applicable and check_h_assumption_even(geom)
-        return HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, threshold, holds)
-    raise ValueError(f"unknown mode {mode!r}; expected auto, full_1_3 or even_variant")
+    threshold = even_threshold(geom.d)
+    holds = even_applicable and check_h_assumption_even(geom)
+    return HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, threshold, holds)
 
 
 def certify_theorem(

@@ -162,6 +162,6 @@ def euler_characteristic(geom: "PolarizedCY3", ch: ChernVector) -> Fraction:
 
 def is_integral(geom: "PolarizedCY3", ch: ChernVector) -> bool:
     """Whether the class sits on the sheaf lattice: c2(E).H and chi(E) are integers."""
-    c2H = (ch.c1 ** 2 * geom.d - 2 * ch.ch2H) / 2
+    c2H = chern_classes_from_ch(geom.d, ch).c2H
     chi = euler_characteristic(geom, ch)
     return c2H.denominator == 1 and chi.denominator == 1

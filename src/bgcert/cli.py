@@ -111,22 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_geometry(args) -> tuple[PolarizedCY3 | None, str | None]:
     """Geometry from --preset, flags, or --config; flags beat the file."""
     file_conf = load_geometry_config(args.config) if args.config else {}
-    custom_flags = (
-        args.d is not None
-        or args.c2h is not None
-        or args.dimh is not None
-        or args.castelnuovo_known
-    )
-    if args.preset and (custom_flags or file_conf):
+    flags = {"d": args.d, "c2h": args.c2h, "dimh": args.dimh,
+             "castelnuovo_known": args.castelnuovo_known or None}
+    merged = {**file_conf, **{key: value for key, value in flags.items() if value is not None}}
+    if args.preset and merged:
         raise ConfigError("give either --preset or a custom geometry (--d/--c2h/--config), not both")
     if args.preset:
         return from_preset(args.preset), args.preset
-    merged = dict(file_conf)
-    for key, value in (("d", args.d), ("c2h", args.c2h), ("dimh", args.dimh)):
-        if value is not None:
-            merged[key] = value
-    if args.castelnuovo_known:
-        merged["castelnuovo_known"] = True
     if not merged:
         return None, None
     return geometry_from_config(merged), None

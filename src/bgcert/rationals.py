@@ -11,7 +11,7 @@ import re
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, total_ordering
 from operator import attrgetter
 from typing import Callable, Union
 
@@ -63,6 +63,7 @@ def _converter(cls: type) -> Callable:
     return lambda value: value  # int, bool, str, None
 
 
+@total_ordering
 class _PlusInfinity:
     """Sentinel that compares greater than every rational.
 
@@ -72,34 +73,13 @@ class _PlusInfinity:
 
     __slots__ = ()
 
-    def _comparable(self, other) -> bool:
-        return isinstance(other, (int, Fraction, _PlusInfinity))
-
     def __lt__(self, other):
-        if not self._comparable(other):
+        if not isinstance(other, (int, Fraction, _PlusInfinity)):
             return NotImplemented
         return False
 
-    def __le__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return isinstance(other, _PlusInfinity)
-
-    def __gt__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return not isinstance(other, _PlusInfinity)
-
-    def __ge__(self, other):
-        if not self._comparable(other):
-            return NotImplemented
-        return True
-
     def __eq__(self, other):
         return isinstance(other, _PlusInfinity)
-
-    def __ne__(self, other):
-        return not isinstance(other, _PlusInfinity)
 
     def __hash__(self):
         return hash("bgcert.INFINITY")

@@ -81,6 +81,17 @@ def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> Sandwi
     return SandwichReport(left_ok and right_ok, ch_sub.ch2H, ch_quot.ch2H)
 
 
+def _slope_window(lo: int, hi: int, s_max: int) -> list[tuple[int, int]]:
+    """All (k, s) with 1 <= s <= s_max and 1/lo <= k/s <= 1/hi, lexicographic."""
+    pairs = []
+    for s in range(1, s_max + 1):
+        # 1/lo <= k/s  <=>  k lo >= s;   k/s <= 1/hi  <=>  k hi <= s
+        k_lo = max(1, -(-s // lo))
+        k_hi = s // hi
+        pairs.extend((k, s) for k in range(k_lo, k_hi + 1))
+    return sorted(pairs)
+
+
 def lemma1_slope_window(r: int) -> list[tuple[int, int]]:
     """All (k, s) with 1 <= s <= r and 1/(r+1) <= k/s <= 1/r, lexicographic.
 
@@ -90,22 +101,11 @@ def lemma1_slope_window(r: int) -> list[tuple[int, int]]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    pairs = []
-    for s in range(1, r + 1):
-        # 1/(r+1) <= k/s  <=>  k(r+1) >= s;   k/s <= 1/r  <=>  k r <= s
-        k_lo = max(1, -(-s // (r + 1)))
-        k_hi = s // r
-        pairs.extend((k, s) for k in range(k_lo, k_hi + 1))
-    return sorted(pairs)
+    return _slope_window(r + 1, r, r)
 
 
 def lemma2_slope_window(r: int) -> list[tuple[int, int]]:
     """All (k, s) with 1 <= s < r - 1 and 1/r <= k/s <= 1/(r-1); always empty."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    pairs = []
-    for s in range(1, r - 1):
-        k_lo = max(1, -(-s // r))
-        k_hi = s // (r - 1)
-        pairs.extend((k, s) for k in range(k_lo, k_hi + 1))
-    return sorted(pairs)
+    return _slope_window(r, r - 1, r - 2)

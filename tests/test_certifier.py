@@ -26,7 +26,14 @@ from bgcert.certifier import (
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
 from bgcert.errors import BetaOutOfRange, MissingBeta, NonpositiveCh2H, ZeroRank
-from bgcert.geometry import CurveBound, PolarizedCY3, castelnuovo_range, default_chi_min, from_preset
+from bgcert.geometry import (
+    CurveBound,
+    PolarizedCY3,
+    castelnuovo_check,
+    castelnuovo_range,
+    default_chi_min,
+    from_preset,
+)
 from bgcert.rationals import to_jsonable
 
 QUINTIC = from_preset("quintic")
@@ -117,6 +124,24 @@ def test_case2_strict_coverage():
 def test_case2_rejects_out_of_range_beta():
     with pytest.raises(BetaOutOfRange):
         case2_check(QUINTIC, [CurveBound(4, 0)])
+
+
+def test_curve_range_error_has_one_home():
+    # case2_check rejects exactly the degrees castelnuovo_check rejects, with its message.
+    for d in range(1, 41):
+        geom = PolarizedCY3(d, 12 - 2 * d, 0)
+        valid = castelnuovo_range(geom)
+        for beta in range(1, d + 3):
+            bound = CurveBound(beta, 0)
+            if beta in valid:
+                case2_check(geom, [bound])
+                castelnuovo_check(geom, bound)
+                continue
+            with pytest.raises(BetaOutOfRange) as from_case2:
+                case2_check(geom, [bound])
+            with pytest.raises(BetaOutOfRange) as from_geometry:
+                castelnuovo_check(geom, bound)
+            assert str(from_case2.value) == str(from_geometry.value)
 
 
 def test_case2_duplicate_betas_keep_smallest_chi():
@@ -320,8 +345,25 @@ def test_certify_forced_even_mode_on_odd_degree_fails_hypothesis():
 
 
 def test_certify_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        certify_theorem(QUINTIC, mode="weak")
+    # The CLI's names (full, even) and member names are not library modes.
+    for mode in ("weak", "full", "even", "FULL_1_3", "", None):
+        with pytest.raises(ValueError) as excinfo:
+            certify_theorem(QUINTIC, mode=mode)
+        assert repr(mode) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("mode", list(HypothesisMode))
+def test_mode_member_and_value_agree(mode):
+    for geom in [QUINTIC, CI24, CI223] + [PolarizedCY3(d, 12 - 2 * d, 0) for d in range(1, 25)]:
+        by_member = certify_theorem(geom, mode=mode).hypothesis
+        assert by_member == certify_theorem(geom, mode=mode.value).hypothesis
+        assert by_member.mode is mode
+
+
+def test_auto_mode_picks_full_then_even():
+    assert certify_theorem(QUINTIC, mode="auto").hypothesis.mode is HypothesisMode.FULL
+    assert certify_theorem(CI24, mode="auto").hypothesis.mode is HypothesisMode.EVEN
+    assert certify_theorem(CI223, mode="auto").hypothesis.mode is HypothesisMode.EVEN
 
 
 def test_certify_is_deterministic():

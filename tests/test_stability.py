@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as Q
 
 import pytest
@@ -31,14 +32,33 @@ positive_t = st.fractions(min_value=Q(1, 12), max_value=12, max_denominator=24)
 
 # --- extended rationals ---------------------------------------------------------
 
+# operator: (INFINITY op INFINITY, INFINITY op finite, finite op INFINITY)
+_INFINITY_TABLE = {
+    operator.lt: (False, False, True),
+    operator.le: (True, False, True),
+    operator.gt: (False, True, False),
+    operator.ge: (True, True, False),
+    operator.eq: (True, False, False),
+    operator.ne: (False, True, True),
+}
+_FINITE = [0, -5, 10 ** 30, Q(-3, 7), Q(10 ** 12)]
+
+
 def test_infinity_ordering():
-    assert INFINITY > Q(10 ** 12)
-    assert Q(-3, 7) < INFINITY
-    assert INFINITY >= INFINITY
-    assert INFINITY == INFINITY
-    assert not INFINITY > INFINITY
-    assert not INFINITY <= Q(10 ** 12)
-    assert 0 <= INFINITY
+    for op, (with_itself, left, right) in _INFINITY_TABLE.items():
+        assert op(INFINITY, INFINITY) is with_itself
+        for x in _FINITE:
+            assert op(INFINITY, x) is left
+            assert op(x, INFINITY) is right
+
+
+def test_infinity_order_rejects_non_rationals():
+    for other in (1.5, "x", None):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(INFINITY, other)
+            with pytest.raises(TypeError):
+                op(other, INFINITY)
 
 
 def test_rational_parse_and_format():
