@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .chern import ChernVector
-from .errors import MissingBeta, NonpositiveCh2H, ZeroRank
+from .errors import NonpositiveCh2H, ZeroRank
 from .geometry import (
     CurveBound,
     PolarizedCY3,
@@ -148,15 +148,11 @@ class Case2Row:
 def case2_check(
     geom: PolarizedCY3,
     bounds: Optional[Iterable[CurveBound]] = None,
-    *,
-    allow_defaults: bool = True,
 ) -> list[Case2Row]:
     """One row per curve degree in range: ch3 <= d/6 - beta - chi_min.
 
-    Degrees without a supplied bound fall back to the weakest admissible
-    floor ceil(d/6 - beta). Passing allow_defaults=False instead demands
-    that the supplied bounds cover the whole range (MissingBeta otherwise).
-    Duplicate supplied degrees keep the smallest chi_min.
+    Degrees without a supplied bound take the weakest admissible floor
+    ceil(d/6 - beta). Duplicate supplied degrees keep the smallest chi_min.
     """
     supplied: dict[int, int] = {}
     for cb in bounds or ():
@@ -166,10 +162,8 @@ def case2_check(
     for beta in castelnuovo_range(geom):
         if beta in supplied:
             chi, source = supplied[beta], "supplied"
-        elif allow_defaults:
-            chi, source = default_chi_min(geom, beta), "default"
         else:
-            raise MissingBeta(f"no curve bound supplied for beta = {beta}")
+            chi, source = default_chi_min(geom, beta), "default"
         bound = Fraction(geom.d, 6) - beta - chi
         rows.append(Case2Row(beta, chi, bound, bound <= 0, source))
     return rows

@@ -12,18 +12,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import VirtualClassWarning
-from .rationals import parse_rational
-
-if TYPE_CHECKING:
-    from .geometry import PolarizedCY3
-
-
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"polarization degree d must be a positive integer, got {d!r}")
+from .geometry import PolarizedCY3, check_degree
 
 
 @dataclass(frozen=True)
@@ -62,13 +54,6 @@ class ChernVector:
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.c1 == 0 and self.ch2H == 0 and self.ch3 == 0
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChernVector":
-        def rat(value):
-            return parse_rational(value) if isinstance(value, str) else Fraction(value)
-
-        return cls(int(data["ch0"]), int(data["c1"]), rat(data["ch2H"]), rat(data["ch3"]))
-
 
 ZERO = ChernVector(0, 0, Fraction(0), Fraction(0))
 
@@ -78,7 +63,7 @@ def line_bundle_ch(d: int, n: int) -> ChernVector:
 
     Expanding exp(nH) gives (1, n, n^2 d/2, n^3 d/6).
     """
-    _check_degree(d)
+    check_degree(d)
     return ChernVector(1, n, Fraction(n * n * d, 2), Fraction(n ** 3 * d, 6))
 
 
@@ -87,7 +72,7 @@ def ideal_twist_point_ch(d: int, length: int) -> ChernVector:
 
     Points do not move ch2, so the vector is (1, 1, d/2, d/6 - length).
     """
-    _check_degree(d)
+    check_degree(d)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     return ChernVector(1, 1, Fraction(d, 2), Fraction(d, 6) - length)
@@ -95,7 +80,7 @@ def ideal_twist_point_ch(d: int, length: int) -> ChernVector:
 
 def ideal_twist_curve_ch(d: int, beta: int, chi: int) -> ChernVector:
     """O(H) twisted by the ideal of a curve Z with H.Z = beta and chi(O_Z) = chi."""
-    _check_degree(d)
+    check_degree(d)
     if beta <= 0:
         raise ValueError(f"beta must be >= 1 (beta <= 0 is the zero-dimensional regime), got {beta}")
     return ChernVector(1, 1, Fraction(d, 2) - beta, Fraction(d, 6) - beta - chi)
@@ -139,7 +124,7 @@ class ChernClasses(NamedTuple):
 
 def chern_classes_from_ch(d: int, ch: ChernVector) -> ChernClasses:
     """Convert Chern-character numbers to Chern-class numbers (c1, c2.H, c3)."""
-    _check_degree(d)
+    check_degree(d)
     a = ch.c1
     c2H = (a * a * d - 2 * ch.ch2H) / 2
     c3 = (6 * ch.ch3 - a ** 3 * d + 3 * a * c2H) / 3
@@ -148,19 +133,19 @@ def chern_classes_from_ch(d: int, ch: ChernVector) -> ChernClasses:
 
 def ch_from_chern_classes(d: int, ch0: int, c1: int, c2H, c3) -> ChernVector:
     """Inverse of chern_classes_from_ch at the given rank."""
-    _check_degree(d)
+    check_degree(d)
     c2H = Fraction(c2H)
     ch2H = (c1 * c1 * d - 2 * c2H) / 2
     ch3 = (c1 ** 3 * d - 3 * c1 * c2H + 3 * Fraction(c3)) / 6
     return ChernVector(ch0, c1, ch2H, ch3)
 
 
-def euler_characteristic(geom: "PolarizedCY3", ch: ChernVector) -> Fraction:
+def euler_characteristic(geom: PolarizedCY3, ch: ChernVector) -> Fraction:
     """chi(E) on a Calabi-Yau threefold: ch3 + c1 * (c2(X).H) / 12."""
     return ch.ch3 + Fraction(ch.c1 * geom.c2XH, 12)
 
 
-def is_integral(geom: "PolarizedCY3", ch: ChernVector) -> bool:
+def is_integral(geom: PolarizedCY3, ch: ChernVector) -> bool:
     """Whether the class sits on the sheaf lattice: c2(E).H and chi(E) are integers."""
     c2H = chern_classes_from_ch(geom.d, ch).c2H
     chi = euler_characteristic(geom, ch)

@@ -35,7 +35,7 @@ from .geometry import (
     geometry_from_config,
     load_geometry_config,
 )
-from .rationals import format_extended, format_rational, parse_rational, to_jsonable
+from .rationals import format_rational, parse_rational, to_jsonable
 from .stability import bg_discriminant, slope_mu, tilt_slope_nu
 
 EXIT_OK = 0
@@ -308,20 +308,16 @@ def build_eval_report(op: str, geom: PolarizedCY3 | None, ch: ChernVector, t) ->
     if op == "chi":
         report["value"] = format_rational(euler_characteristic(geom, ch))
     elif op == "mu":
-        report["value"] = format_extended(slope_mu(geom, ch))
+        report["value"] = to_jsonable(slope_mu(geom, ch))
     elif op == "nu":
         report["t"] = format_rational(t)
-        report["value"] = format_extended(tilt_slope_nu(geom, ch, t))
+        report["value"] = to_jsonable(tilt_slope_nu(geom, ch, t))
     elif op == "bg":
         value = bg_discriminant(geom, ch)
         report["value"] = format_rational(value)
         report["bg_ok"] = value >= 0
     elif op == "ineq12":
-        result = check_ineq_1_2(ch)
-        report["lhs"] = format_rational(result.lhs)
-        report["rhs"] = format_rational(result.rhs)
-        report["holds"] = result.holds
-        report["equality"] = result.equality
+        report.update(to_jsonable(check_ineq_1_2(ch)))
     return report
 
 

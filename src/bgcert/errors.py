@@ -31,10 +31,6 @@ class BetaOutOfRange(BgcertError):
     """Curve degree beta falls outside 1 <= beta < d/2."""
 
 
-class MissingBeta(BgcertError):
-    """Strict curve-bound coverage was requested but a degree has no bound."""
-
-
 class NegativeRank(BgcertError):
     """Slope is undefined for negative-rank classes."""
 

@@ -26,14 +26,19 @@ from .errors import (
 )
 
 
+def check_degree(d: int) -> None:
+    """Raise ValueError unless the polarization degree d = H^3 is a positive integer."""
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+
+
 def derive_dimH(d: int, c2XH: int) -> int:
     """dim|H| from Riemann-Roch with Kodaira vanishing: d/6 + c2XH/12 - 1.
 
     Raises NonIntegralGeometry when chi(O(H)) is not an integer and
     NegativeLinearSystem when the derived dimension would be negative.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    check_degree(d)
     chi = Fraction(d, 6) + Fraction(c2XH, 12)
     if chi.denominator != 1:
         raise NonIntegralGeometry(

@@ -43,8 +43,9 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def to_jsonable(value):
-    """JSON form of a record tree: Fraction to "p/q", Enum to its value, tuple
-    or list to a list, dataclass to a dict of its fields in declaration order."""
+    """JSON form of a record tree: Fraction to "p/q", INFINITY to "+inf", Enum to
+    its value, tuple or list to a list, dataclass to a dict of its fields in
+    declaration order."""
     return _converter(type(value))(value)
 
 
@@ -53,6 +54,8 @@ def _converter(cls: type) -> Callable:
     """The conversion for one type, found once, so a walk does no reflection."""
     if issubclass(cls, Fraction):
         return format_rational
+    if cls is _PlusInfinity:
+        return lambda value: "+inf"
     if issubclass(cls, Enum):
         return attrgetter("value")
     if issubclass(cls, (tuple, list)):
@@ -91,10 +94,3 @@ class _PlusInfinity:
 INFINITY = _PlusInfinity()
 
 ExtendedRational = Union[Fraction, _PlusInfinity]
-
-
-def format_extended(value: ExtendedRational) -> str:
-    """Render a rational as "p/q" and the infinite sentinel as "+inf"."""
-    if isinstance(value, _PlusInfinity):
-        return "+inf"
-    return format_rational(value)

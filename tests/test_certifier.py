@@ -25,7 +25,7 @@ from bgcert.certifier import (
     worst_case3_bound,
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
-from bgcert.errors import BetaOutOfRange, MissingBeta, NonpositiveCh2H, ZeroRank
+from bgcert.errors import BetaOutOfRange, NonpositiveCh2H, ZeroRank
 from bgcert.geometry import (
     CurveBound,
     PolarizedCY3,
@@ -112,13 +112,6 @@ def test_case2_violating_bound():
     rows = case2_check(QUINTIC, [CurveBound(2, -2)])
     assert rows[1].ch3_bound == Q(5, 6)
     assert not rows[1].ok
-
-
-def test_case2_strict_coverage():
-    with pytest.raises(MissingBeta):
-        case2_check(QUINTIC, [CurveBound(1, 0)], allow_defaults=False)
-    rows = case2_check(QUINTIC, [CurveBound(1, 0), CurveBound(2, -1)], allow_defaults=False)
-    assert all(r.source == "supplied" for r in rows)
 
 
 def test_case2_rejects_out_of_range_beta():

@@ -225,7 +225,7 @@ def test_eval_json(capsys):
     report = build_eval_report(
         "nu",
         from_preset("quintic"),
-        ChernVector.from_json_dict({"ch0": 1, "c1": 1, "ch2H": "5/2", "ch3": "5/6"}),
+        ChernVector(1, 1, Fraction(5, 2), Fraction(5, 6)),
         Fraction(1),
     )
     assert json.loads(out) == report

@@ -9,7 +9,7 @@ from _oracles import naive_lemma1_window, naive_lemma2_window
 from bgcert.chern import ZERO, ChernVector, extend_by_trivial, line_bundle_ch, quotient_by_trivial
 from bgcert.errors import NegativeRank, NoPositiveRoot, ZeroRank
 from bgcert.geometry import PolarizedCY3, from_preset
-from bgcert.rationals import INFINITY, format_extended, format_rational, parse_rational
+from bgcert.rationals import INFINITY, format_rational, parse_rational, to_jsonable
 from bgcert.stability import (
     bg_discriminant,
     bg_ok,
@@ -66,7 +66,7 @@ def test_rational_parse_and_format():
     assert parse_rational("-7") == Q(-7)
     assert format_rational(Q(10, 4)) == "5/2"
     assert format_rational(Q(4, 2)) == "2"
-    assert format_extended(INFINITY) == "+inf"
+    assert to_jsonable(INFINITY) == "+inf"
     for bad in ("1/-2", "+3", "1.5", "x", "1/0", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
