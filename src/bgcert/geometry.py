@@ -27,8 +27,8 @@ from .errors import (
 
 
 def check_degree(d: int) -> None:
-    """Raise ValueError unless the polarization degree d = H^3 is a positive integer."""
-    if not isinstance(d, int) or d < 1:
+    """Raise ValueError unless the polarization degree d = H^3 is a positive int (not a bool)."""
+    if type(d) is not int or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
@@ -61,6 +61,11 @@ class PolarizedCY3:
     castelnuovo_known: bool = False
 
     def __post_init__(self):
+        for name, value in (("c2XH", self.c2XH), ("dimH", self.dimH)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if type(self.castelnuovo_known) is not bool:
+            raise TypeError(f"castelnuovo_known must be a bool, got {self.castelnuovo_known!r}")
         expected = derive_dimH(self.d, self.c2XH)
         if self.dimH != expected:
             raise InconsistentGeometry(
@@ -86,6 +91,9 @@ class CurveBound:
     chi_min: int
 
     def __post_init__(self):
+        for name, value in (("beta", self.beta), ("chi_min", self.chi_min)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.beta < 1:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
 

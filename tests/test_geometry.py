@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import ci_chern_numbers
+from bgcert.chern import line_bundle_ch
 from bgcert.errors import (
     BetaOutOfRange,
     ConfigError,
@@ -86,6 +87,34 @@ def test_derive_dimh_examples():
 def test_riemann_roch_consistency_invariant(geom):
     assert derive_dimH(geom.d, geom.c2XH) == geom.dimH
     assert geom.chi_OH == geom.dimH + 1
+
+
+@pytest.mark.parametrize("d", [0, True])
+def test_degree_check_has_one_message(d):
+    # derive_dimH and the chern constructors share one check, so one message.
+    with pytest.raises(ValueError) as from_geometry:
+        derive_dimH(d, 50)
+    with pytest.raises(ValueError) as from_chern:
+        line_bundle_ch(d, 1)
+    assert str(from_geometry.value) == str(from_chern.value) == f"d must be a positive integer, got {d!r}"
+
+
+@pytest.mark.parametrize("fields, bad", [
+    ((5, 50, 4.0), "dimH"),
+    ((5, Q(50), 4), "c2XH"),
+    ((5, 50, True), "dimH"),
+    ((5, 50, 4, 1), "castelnuovo_known"),
+])
+def test_geometry_rejects_inexact_fields(fields, bad):
+    # A float or Fraction here would reach a certificate that claims to be exact.
+    with pytest.raises(TypeError, match=bad):
+        PolarizedCY3(*fields)
+
+
+@pytest.mark.parametrize("fields, bad", [((1, 0.5), "chi_min"), ((1, True), "chi_min"), ((Q(1), 0), "beta")])
+def test_curve_bound_rejects_inexact_fields(fields, bad):
+    with pytest.raises(TypeError, match=bad):
+        CurveBound(*fields)
 
 
 def test_explicit_dimh_mismatch_is_error():
