@@ -2,8 +2,9 @@
 certification, and scalar evaluation, in human or JSON form.
 
 Exit codes: 0 certified and all plain reports, 1 conditional certification,
-2 hypothesis failure, 3 malformed input or configuration. A reader that closes
-the output early ends the process by SIGPIPE, as with other Unix filters.
+2 hypothesis failure, 3 malformed input or configuration, 4 internal error (a
+fault of the program, never a verdict). A reader that closes the output early
+ends the process by SIGPIPE, as with other Unix filters.
 JSON and human renderings are generated from the same report value, so the
 two views can never disagree.
 """
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONDITIONAL = 1
 EXIT_HYPOTHESIS_FAIL = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {
     Verdict.CERTIFIED_STRICT.value: EXIT_OK,
@@ -377,6 +379,10 @@ def main(argv=None) -> int:
     except (BgcertError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # Any other exception is a fault of the program; exit 1 would read as CONDITIONAL.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

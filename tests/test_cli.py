@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import pytest
 
 from _oracles import naive_candidates
 import bgcert
+from bgcert import certifier
 from bgcert.cli import (
     build_certify_report,
     build_enumerate_report,
@@ -316,6 +318,17 @@ def test_enumerate_into_closed_pipe_ends_quietly():
 
 
 # --- argparse interplay -------------------------------------------------------------------
+
+def test_internal_fault_is_exit_4_not_a_verdict(capsys, monkeypatch):
+    # A broken cross-check inside certify_theorem must not read as exit 1 (CONDITIONAL).
+    trace = certifier._case3_trace
+    monkeypatch.setattr(certifier, "_case3_trace", lambda geom: dataclasses.replace(trace(geom), ok=False))
+    code, out, err = run(capsys, "certify", "--preset", "quintic")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: ")
+    assert "Traceback" not in err
+
 
 def test_unknown_subcommand_maps_to_config_exit(capsys):
     assert main(["frobnicate"]) == 3
