@@ -2,11 +2,14 @@
 certification, and scalar evaluation, in human or JSON form.
 
 Exit codes: 0 certified and all plain reports, 1 conditional certification,
-2 hypothesis failure, 3 malformed input or configuration, 4 internal error (a
-fault of the program, never a verdict). A reader that closes the output early
-ends the process by SIGPIPE, as with other Unix filters.
-JSON and human renderings are generated from the same report value, so the
-two views can never disagree.
+2 hypothesis failure, 3 malformed input or configuration (a degree with too
+many candidates included), 4 internal error (a fault of the program, never a
+verdict). A reader that closes the output early ends the process by SIGPIPE,
+as with other Unix filters.
+
+For geom, certify and eval, the JSON and human renderings are generated from
+the same report value; enumerate writes both, row by row, from the same row
+iterator, `certifier.candidate_rows`. So the two views can never disagree.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import sys
 
 from .certifier import (
     Verdict,
+    candidate_rows,
     certificate_to_jsonable,
     certify_theorem,
+    ch2H_by_c2H,
     check_ineq_1_2,
-    enumerate_candidates,
 )
 from .chern import ChernVector, euler_characteristic
 from .errors import BgcertError, ConfigError
@@ -225,19 +229,35 @@ def cmd_geom(args) -> int:
 # enumerate
 
 
-def build_enumerate_report(geom: PolarizedCY3) -> list[dict]:
-    return to_jsonable(enumerate_candidates(geom))
+def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
+    """Write the candidates to stdout row by row, in the bytes of one text or
+    json.dumps(indent=2) rendering of the whole list.
 
-
-def render_enumerate(report: list[dict]) -> str:
-    lines = [f"({c['r']}, {c['c2H']})  ch2H = {c['ch2H']}" for c in report]
-    lines.append(f"{len(report)} candidate(s)")
-    return "\n".join(lines)
+    Each ch2H string is made once per c2H and joined to the row's rank as it
+    is written, so memory stays at O(d) while the output grows as d log d.
+    """
+    rows = candidate_rows(geom.d)  # TooManyCandidates here, before any byte is written
+    labels = map(format_rational, ch2H_by_c2H(geom.d))
+    write = sys.stdout.write
+    if as_json:
+        tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]
+        sep = "\n"
+        write("[")
+        for r, c in rows:
+            write(f'{sep}  {{\n    "r": {r}{tails[c]}')
+            sep = ",\n"
+        write("]\n" if sep == "\n" else "\n]\n")
+    else:
+        tails = [f", {c})  ch2H = {s}\n" for c, s in enumerate(labels)]
+        n = 0
+        for n, (r, c) in enumerate(rows, 1):
+            write(f"({r}{tails[c]}")
+        write(f"{n} candidate(s)\n")
 
 
 def cmd_enumerate(args) -> int:
     geom, _ = _require_geometry(args)
-    _emit(args, build_enumerate_report(geom), render_enumerate)
+    render_enumerate(geom, args.json)
     return EXIT_OK
 
 

@@ -47,6 +47,10 @@ class NonpositiveCh2H(BgcertError):
     """ch2.H must be positive here."""
 
 
+class TooManyCandidates(BgcertError):
+    """The degree has more candidates than the enumeration limit allows."""
+
+
 class ConfigError(BgcertError):
     """Invalid CLI or config-file input; carries the offending field when known."""
 

@@ -53,7 +53,7 @@ def to_jsonable(value):
 def _converter(cls: type) -> Callable:
     """The conversion for one type, found once, so a walk does no reflection."""
     if issubclass(cls, Fraction):
-        return format_rational
+        return lambda value: format_rational(value)  # looked up per call: a rebinding is seen
     if cls is _PlusInfinity:
         return lambda value: "+inf"
     if issubclass(cls, Enum):

@@ -11,8 +11,10 @@ from bgcert.certifier import (
     Candidate,
     CastelnuovoStatus,
     HypothesisMode,
+    MAX_CANDIDATES,
     Verdict,
     affine_dominates,
+    candidate_count,
     case1_check,
     case2_check,
     case3_bound,
@@ -25,7 +27,7 @@ from bgcert.certifier import (
     worst_case3_bound,
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
-from bgcert.errors import BetaOutOfRange, NonpositiveCh2H, ZeroRank
+from bgcert.errors import BetaOutOfRange, NonpositiveCh2H, TooManyCandidates, ZeroRank
 from bgcert.geometry import (
     CurveBound,
     PolarizedCY3,
@@ -217,6 +219,7 @@ def test_enumerate_matches_naive_scan(d):
     got = enumerate_candidates(geom)
     assert got == expected  # dataclass equality: field for field
     assert all(type(c.ch2H) is Q for c in got)
+    assert candidate_count(d) == len(got)  # the closed form the limit is checked on
 
 
 @pytest.mark.parametrize("d", range(1, 31))
@@ -226,6 +229,34 @@ def test_enumerate_output_invariants(d):
         assert c.ch2H == Q(d, 2) - c.c2H
         assert c.ch2H > 0
         assert 2 * c.r * c.c2H >= (c.r - 1) * d
+
+
+def test_candidate_count_on_both_sides_of_the_limit():
+    assert MAX_CANDIDATES == 200_000
+    # Exact below the limit; the count is monotone in d within each parity only.
+    assert candidate_count(20151) == 108_407  # the largest rung of enumerate-large
+    assert candidate_count(35333) == 199_985
+    assert candidate_count(37334) == 186_470
+    assert candidate_count(39786) == 199_989
+    # Above it the sum stops once past the limit, after at most MAX_CANDIDATES + 1 terms.
+    assert MAX_CANDIDATES < candidate_count(35335) <= 200_005
+    assert MAX_CANDIDATES < candidate_count(39788) <= 200_005
+    assert candidate_count(10**12 + 2) == MAX_CANDIDATES + 1
+
+
+def test_certify_refuses_too_many_candidates_before_case2(monkeypatch):
+    # case2_check would build d/2 rows; the limit must be checked before it runs.
+    def case2_must_not_run(*args):
+        raise AssertionError("case2_check ran before the candidate limit")
+
+    monkeypatch.setattr("bgcert.certifier.case2_check", case2_must_not_run)
+    geom = PolarizedCY3.derive(10**12 + 2, 12)
+    with pytest.raises(TooManyCandidates, match="more than 200000 candidates"):
+        certify_theorem(geom)
+    with pytest.raises(TooManyCandidates):
+        enumerate_candidates(geom)
+    with pytest.raises(TooManyCandidates):
+        enumerate_candidates(PolarizedCY3.derive(35335, 10))
 
 
 def test_candidate_coerces_ch2H_to_fraction():

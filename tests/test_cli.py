@@ -1,26 +1,36 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from _oracles import naive_candidates
 import bgcert
 from bgcert import certifier
 from bgcert.cli import (
     build_certify_report,
-    build_enumerate_report,
     build_eval_report,
     build_geom_report,
     main,
 )
 from bgcert.chern import ChernVector
 from bgcert.geometry import from_preset
+from bgcert.rationals import to_jsonable
 
 
 def run(capsys, *argv):
@@ -105,7 +115,7 @@ def test_enumerate_quintic_json(capsys):
     assert [(c["r"], c["c2H"]) for c in data] == [
         (1, 0), (1, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2),
     ]
-    assert data == build_enumerate_report(from_preset("quintic"))
+    assert data == to_jsonable(certifier.enumerate_candidates(from_preset("quintic")))
 
 
 def test_enumerate_small_custom_geometry(capsys):
@@ -121,8 +131,12 @@ def _half_minus(d, c):
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
+# d = 1..60 holds the edge shapes (one candidate, one rank, both parities);
+# c2h = 12 (d // 6 + 1) - 2d makes chi(O(H)) = d // 6 + 1 an integer.
 # d = 2001 is odd, so every ch2H is a half-integer; chi(O(H)) = 334 for both.
-@pytest.mark.parametrize("d,c2h", [(2001, 6), (2000, 8)])
+@pytest.mark.parametrize(
+    "d,c2h", [(d, 12 * (d // 6 + 1) - 2 * d) for d in range(1, 61)] + [(2001, 6), (2000, 8)]
+)
 def test_enumerate_large_degree_matches_naive_scan(capsys, d, c2h):
     pairs = naive_candidates(d)
     rows = [{"r": r, "c2H": c, "ch2H": _half_minus(d, c)} for r, c in pairs]
@@ -135,6 +149,67 @@ def test_enumerate_large_degree_matches_naive_scan(capsys, d, c2h):
     code, out, err = run(capsys, "enumerate", "--d", str(d), "--c2h", str(c2h), "--json")
     assert (code, err) == (0, "")
     assert out == json.dumps(rows, indent=2) + "\n"
+
+
+class _CountingSink:
+    """A stdout that keeps nothing: it counts the characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_enumerate_memory_stays_below_its_output(flags):
+    # Rows are written as they are made: the traced peak must stay below the output
+    # (about 0.6x in text and 0.3x in JSON; a whole report held at once was about 17x).
+    argv = ["enumerate", "--d", "2001", "--c2h", "6", *flags]
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert main(argv) == 0  # one-time costs (imports, parser caches) before tracing
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 190_000
+    assert peak < sink.chars
+
+
+def _run_capped(*argv):
+    """`python -m bgcert ARGV` in a child whose address space is capped at 1 GiB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "bgcert", *argv],
+        capture_output=True,
+        env=_CHILD_ENV,
+        preexec_fn=cap,
+        timeout=60,
+    )
+
+
+# d = 10**12 + 2 is divisible by 6, so c2h = 12 gives chi(O(H)) = d/6 + 1.
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+@pytest.mark.parametrize("command", ["enumerate", "certify"])
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_too_many_candidates_is_exit_3_before_any_output(command, flags):
+    proc = _run_capped(command, "--d", str(10**12 + 2), "--c2h", "12", *flags)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"error: TooManyCandidates: d = 1000000000002 has more than 200000 candidates\n"
+    )
 
 
 # --- certify -----------------------------------------------------------------------
@@ -340,3 +415,78 @@ def test_help_exits_zero(capsys):
 
 def test_version_like_usage_error(capsys):
     assert main([]) == 3
+
+
+# --- fuzz ------------------------------------------------------------------------
+
+def _valid_custom(d, dimh, known):
+    return ["--d", str(d), "--c2h", str(12 * (dimh + 1) - 2 * d)] + ["--castelnuovo-known"] * known
+
+
+def _weighted(valid, invalid):
+    """Three draws in four from `valid`."""
+    return st.integers(0, 3).flatmap(lambda k: invalid if k == 3 else valid)
+
+
+_INTS = st.integers(-3, 70).map(str)
+_SMALL = st.integers(-9, 9).map(str)
+_POSITIVE = st.integers(1, 9)
+_FRACTIONS = st.builds("{}/{}".format, st.integers(-9, 9), _POSITIVE) | _SMALL
+_RATIONALS = _weighted(_FRACTIONS, st.sampled_from(["", "x", "1.5", "1/0", "1/-2", "+3", "9" * 40]))
+# Mostly small degrees, whose every command runs to a verdict; one draw in ten
+# is at least 400,000, where every degree is over the candidate limit.
+_DEGREES = st.integers(0, 9).flatmap(
+    lambda k: st.integers(4 * 10**5, 10**12) if k == 0 else st.integers(1, 60)
+)
+_CUSTOM = _DEGREES.flatmap(
+    lambda d: st.builds(_valid_custom, st.just(d), st.integers(0, d // 6 + 4), st.booleans())
+)
+_GEOMETRY = _weighted(
+    _CUSTOM | st.sampled_from(["quintic", "ci24", "ci223"]).map(lambda p: ["--preset", p]),
+    st.lists(st.sampled_from(["--d", "--c2h", "--dimh", "--preset"]), max_size=3).flatmap(
+        lambda flags: st.tuples(*(st.tuples(st.just(f), _INTS) for f in flags))
+    ).map(lambda pairs: [x for pair in pairs for x in pair]),
+)
+_CURVE_BOUND = _weighted(
+    st.builds("{}:{}".format, st.integers(1, 6), st.integers(-20, 3)),
+    st.builds("{}:{}".format, st.integers(-1, 40), st.integers(-30, 5))
+    | st.sampled_from(["2", "a:b", ":", "1:1:1"]),
+)
+_EXTRAS = {
+    "geom": st.just([]),
+    "enumerate": st.just([]),
+    "certify": st.tuples(
+        st.lists(_CURVE_BOUND, max_size=2),
+        st.sampled_from([[], *(["--mode", m] for m in ("auto", "full", "even", "x"))]),
+    ).map(lambda t: [f"--curve-bound={cb}" for cb in t[0]] + t[1]),
+    "eval": st.tuples(
+        st.sampled_from(["chi", "mu", "nu", "bg", "ineq12"]),
+        _weighted(
+            st.tuples(_SMALL, _SMALL, _FRACTIONS, _FRACTIONS).map(",".join),
+            st.lists(_RATIONALS, max_size=5).map(",".join),
+        ),
+        _weighted(st.builds("{}/{}".format, _POSITIVE, _POSITIVE), st.none() | _RATIONALS),
+    ).map(lambda t: ["--op", t[0], "--ch=" + t[1]] + ([] if t[2] is None else ["--t=" + t[2]])),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_EXTRAS)))
+    argv = [command, *draw(_GEOMETRY), *draw(_EXTRAS[command])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(deadline=None)  # the first example pays for imports and parser set-up
+@given(_argv())
+def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 3:
+        assert out.getvalue() == "" and err.getvalue() != ""
+    elif "--json" in argv:
+        json.loads(out.getvalue())

@@ -72,6 +72,15 @@ def test_rational_parse_and_format():
             parse_rational(bad)
 
 
+def test_to_jsonable_looks_format_rational_up_per_call(monkeypatch):
+    # A converter kept from the first call must not outlive a patch of the name.
+    assert to_jsonable(Q(5, 2)) == "5/2"
+    monkeypatch.setattr("bgcert.rationals.format_rational", lambda value: "patched")
+    assert to_jsonable(Q(5, 2)) == "patched"
+    monkeypatch.undo()
+    assert to_jsonable(Q(5, 2)) == "5/2"
+
+
 # --- slope mu -------------------------------------------------------------------
 
 def test_slope_mu_examples():
