@@ -27,7 +27,7 @@ from .geometry import (
     even_threshold,
     full_threshold,
 )
-from .rationals import to_jsonable
+from .rationals import exact_int, exact_rational, to_jsonable
 
 
 class Verdict(str, Enum):
@@ -59,11 +59,11 @@ class AffineFn:
     intercept: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        object.__setattr__(self, "slope", exact_rational(self.slope, "slope"))
+        object.__setattr__(self, "intercept", exact_rational(self.intercept, "intercept"))
 
     def __call__(self, x) -> Fraction:
-        return self.slope * Fraction(x) + self.intercept
+        return self.slope * exact_rational(x, "x") + self.intercept
 
 
 def affine_dominates(f: AffineFn, g: AffineFn) -> bool:
@@ -179,12 +179,12 @@ def ext1_cap(geom: PolarizedCY3, ch2H, ch0F: int) -> Fraction:
     A negative value means no such F exists and the configuration is
     impossible (the cap would contradict a dimension count being >= 0).
     """
-    ch2H = Fraction(ch2H)
+    ch2H = exact_rational(ch2H, "ch2H")
     if ch2H <= 0:
         raise NonpositiveCh2H(f"ch2H must be positive, got {ch2H}")
-    if ch0F < 2:
+    if exact_int(ch0F, "ch0F") < 2:
         raise ValueError(f"ch0F must be >= 2, got {ch0F}")
-    return Fraction(geom.d) / (2 * ch2H) - ch0F
+    return Fraction(geom.d, 2) / ch2H - ch0F
 
 
 def case3_bound(geom: PolarizedCY3, ch2H, ch0F: int) -> Fraction:
@@ -242,12 +242,11 @@ class Candidate:
     ch2H: Fraction
 
     def __post_init__(self):
-        if self.r < 1:
+        if exact_int(self.r, "r") < 1:
             raise ValueError(f"rank must be >= 1, got {self.r}")
-        if self.c2H < 0:
+        if exact_int(self.c2H, "c2H") < 0:
             raise ValueError(f"c2H must be >= 0, got {self.c2H}")
-        if type(self.ch2H) is not Fraction:
-            object.__setattr__(self, "ch2H", Fraction(self.ch2H))
+        object.__setattr__(self, "ch2H", exact_rational(self.ch2H, "ch2H"))
         if self.ch2H.numerator <= 0:
             raise ValueError(f"ch2H must be positive, got {self.ch2H}")
 
@@ -351,20 +350,23 @@ class Certificate:
 certificate_to_jsonable = to_jsonable
 
 
+def hypothesis_checks(geom: PolarizedCY3) -> tuple[HypothesisCheck, HypothesisCheck]:
+    """The FULL and the EVEN check; the even variant applies, and can hold, only for even d."""
+    even_applicable = geom.d % 2 == 0
+    return (
+        HypothesisCheck(HypothesisMode.FULL, True, geom.dimH, full_threshold(geom.d),
+                        check_h_assumption(geom)),
+        HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, even_threshold(geom.d),
+                        even_applicable and check_h_assumption_even(geom)),
+    )
+
+
 def _resolve_mode(geom: PolarizedCY3, mode) -> HypothesisCheck:
     """Check for "auto" or a HypothesisMode member or value; HypothesisMode() rejects the rest."""
-    full_holds = check_h_assumption(geom)
-    even_applicable = geom.d % 2 == 0
+    full, even = hypothesis_checks(geom)
     if mode == "auto":
-        use_full = full_holds or not even_applicable
-        mode = HypothesisMode.FULL if use_full else HypothesisMode.EVEN
-    if HypothesisMode(mode) is HypothesisMode.FULL:
-        return HypothesisCheck(
-            HypothesisMode.FULL, True, geom.dimH, full_threshold(geom.d), full_holds
-        )
-    threshold = even_threshold(geom.d)
-    holds = even_applicable and check_h_assumption_even(geom)
-    return HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, threshold, holds)
+        return full if full.holds or not even.applicable else even
+    return full if HypothesisMode(mode) is HypothesisMode.FULL else even
 
 
 def certify_theorem(

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import VirtualClassWarning
 from .geometry import PolarizedCY3, check_degree
+from .rationals import exact_int, exact_rational
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,10 @@ class ChernVector:
     ch3: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.ch0, int):
-            raise TypeError(f"ch0 must be an integer, got {self.ch0!r}")
-        if not isinstance(self.c1, int):
-            raise TypeError(f"c1 must be an integer, got {self.c1!r}")
-        object.__setattr__(self, "ch2H", Fraction(self.ch2H))
-        object.__setattr__(self, "ch3", Fraction(self.ch3))
+        exact_int(self.ch0, "ch0")
+        exact_int(self.c1, "c1")
+        object.__setattr__(self, "ch2H", exact_rational(self.ch2H, "ch2H"))
+        object.__setattr__(self, "ch3", exact_rational(self.ch3, "ch3"))
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
         return ChernVector(self.ch0 + other.ch0, self.c1 + other.c1,
@@ -64,6 +63,7 @@ def line_bundle_ch(d: int, n: int) -> ChernVector:
     Expanding exp(nH) gives (1, n, n^2 d/2, n^3 d/6).
     """
     check_degree(d)
+    exact_int(n, "n")
     return ChernVector(1, n, Fraction(n * n * d, 2), Fraction(n ** 3 * d, 6))
 
 
@@ -73,7 +73,7 @@ def ideal_twist_point_ch(d: int, length: int) -> ChernVector:
     Points do not move ch2, so the vector is (1, 1, d/2, d/6 - length).
     """
     check_degree(d)
-    if length < 0:
+    if exact_int(length, "length") < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     return ChernVector(1, 1, Fraction(d, 2), Fraction(d, 6) - length)
 
@@ -81,21 +81,22 @@ def ideal_twist_point_ch(d: int, length: int) -> ChernVector:
 def ideal_twist_curve_ch(d: int, beta: int, chi: int) -> ChernVector:
     """O(H) twisted by the ideal of a curve Z with H.Z = beta and chi(O_Z) = chi."""
     check_degree(d)
-    if beta <= 0:
+    if exact_int(beta, "beta") <= 0:
         raise ValueError(f"beta must be >= 1 (beta <= 0 is the zero-dimensional regime), got {beta}")
+    exact_int(chi, "chi")
     return ChernVector(1, 1, Fraction(d, 2) - beta, Fraction(d, 6) - beta - chi)
 
 
 def extend_by_trivial(ch: ChernVector, m: int) -> ChernVector:
     """Middle term of an extension of ch by m trivial summands: only ch0 moves."""
-    if m < 0:
+    if exact_int(m, "m") < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     return ChernVector(ch.ch0 + m, ch.c1, ch.ch2H, ch.ch3)
 
 
 def quotient_by_trivial(ch: ChernVector, m: int) -> ChernVector:
     """Quotient of ch by m trivial subsheaves; warns if the virtual rank goes negative."""
-    if m < 0:
+    if exact_int(m, "m") < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if ch.ch0 - m < 0:
         warnings.warn(
@@ -134,9 +135,10 @@ def chern_classes_from_ch(d: int, ch: ChernVector) -> ChernClasses:
 def ch_from_chern_classes(d: int, ch0: int, c1: int, c2H, c3) -> ChernVector:
     """Inverse of chern_classes_from_ch at the given rank."""
     check_degree(d)
-    c2H = Fraction(c2H)
+    exact_int(c1, "c1")
+    c2H = exact_rational(c2H, "c2H")
     ch2H = (c1 * c1 * d - 2 * c2H) / 2
-    ch3 = (c1 ** 3 * d - 3 * c1 * c2H + 3 * Fraction(c3)) / 6
+    ch3 = (c1 ** 3 * d - 3 * c1 * c2H + 3 * exact_rational(c3, "c3")) / 6
     return ChernVector(ch0, c1, ch2H, ch3)
 
 

@@ -26,17 +26,14 @@ from .certifier import (
     certify_theorem,
     ch2H_by_c2H,
     check_ineq_1_2,
+    hypothesis_checks,
 )
 from .chern import ChernVector, euler_characteristic
 from .errors import BgcertError, ConfigError
 from .geometry import (
     CurveBound,
     PolarizedCY3,
-    check_h_assumption,
-    check_h_assumption_even,
-    even_threshold,
     from_preset,
-    full_threshold,
     geometry_from_config,
     load_geometry_config,
 )
@@ -176,7 +173,7 @@ def _emit(args, report, render) -> None:
 
 
 def build_geom_report(geom: PolarizedCY3, preset: str | None) -> dict:
-    even_applicable = geom.d % 2 == 0
+    full, even = hypothesis_checks(geom)
     return {
         "preset": preset,
         "d": geom.d,
@@ -184,14 +181,11 @@ def build_geom_report(geom: PolarizedCY3, preset: str | None) -> dict:
         "dimH": geom.dimH,
         "chi_OH": geom.chi_OH,
         "castelnuovo_known": geom.castelnuovo_known,
-        "hypothesis_full": {
-            "threshold": format_rational(full_threshold(geom.d)),
-            "holds": check_h_assumption(geom),
-        },
+        "hypothesis_full": {"threshold": format_rational(full.threshold), "holds": full.holds},
         "hypothesis_even": {
-            "applicable": even_applicable,
-            "threshold": format_rational(even_threshold(geom.d)) if even_applicable else None,
-            "holds": check_h_assumption_even(geom) if even_applicable else None,
+            "applicable": even.applicable,
+            "threshold": format_rational(even.threshold) if even.applicable else None,
+            "holds": even.holds if even.applicable else None,
         },
     }
 

@@ -24,6 +24,7 @@ from .errors import (
     OddDegree,
     UnknownPreset,
 )
+from .rationals import exact_int
 
 
 def check_degree(d: int) -> None:
@@ -39,7 +40,7 @@ def derive_dimH(d: int, c2XH: int) -> int:
     NegativeLinearSystem when the derived dimension would be negative.
     """
     check_degree(d)
-    chi = Fraction(d, 6) + Fraction(c2XH, 12)
+    chi = Fraction(d, 6) + Fraction(exact_int(c2XH, "c2XH"), 12)
     if chi.denominator != 1:
         raise NonIntegralGeometry(
             f"chi(O(H)) = {chi} is not an integer for fields d={d}, c2h={c2XH}"
@@ -61,9 +62,7 @@ class PolarizedCY3:
     castelnuovo_known: bool = False
 
     def __post_init__(self):
-        for name, value in (("c2XH", self.c2XH), ("dimH", self.dimH)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        exact_int(self.dimH, "dimH")  # derive_dimH checks d and c2XH
         if type(self.castelnuovo_known) is not bool:
             raise TypeError(f"castelnuovo_known must be a bool, got {self.castelnuovo_known!r}")
         expected = derive_dimH(self.d, self.c2XH)
@@ -91,11 +90,9 @@ class CurveBound:
     chi_min: int
 
     def __post_init__(self):
-        for name, value in (("beta", self.beta), ("chi_min", self.chi_min)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.beta < 1:
+        if exact_int(self.beta, "beta") < 1:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
+        exact_int(self.chi_min, "chi_min")
 
 
 # Preset invariants are recomputed in the test suite from the ambient
@@ -159,7 +156,7 @@ def castelnuovo_check(geom: PolarizedCY3, bound: CurveBound) -> bool:
 
 def default_chi_min(geom: PolarizedCY3, beta: int) -> int:
     """Weakest chi(O_C) floor compatible with the curve hypothesis: ceil(d/6 - beta)."""
-    return math.ceil(Fraction(geom.d, 6) - beta)
+    return math.ceil(Fraction(geom.d, 6) - exact_int(beta, "beta"))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +168,10 @@ _CONFIG_FIELDS = ("d", "c2h", "dimh", "castelnuovo_known")
 
 
 def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"field {field}: expected an integer, got {value!r}", field=field)
-    if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            raise ConfigError(f"field {field}: expected an integer, got {value!r}", field=field) from None
-    return value
+    try:
+        return int(value.strip()) if isinstance(value, str) else exact_int(value, field)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {field}: expected an integer, got {value!r}", field=field) from None
 
 
 def _as_bool(value, field: str) -> bool:
@@ -216,10 +209,10 @@ def load_geometry_config(path) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        data = None
+        pass  # not JSON: read the line format below
     except RecursionError:
         raise ConfigError(f"config {path}: JSON nested too deeply") from None
-    if data is not None:
+    else:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path}: expected a JSON object")
         return data

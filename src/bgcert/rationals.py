@@ -1,7 +1,11 @@
 """Exact scalars: arbitrary-precision rationals plus a +infinity sentinel.
 
 Rationals are `fractions.Fraction`, which already guarantees lowest terms and
-a positive denominator. No floating point is used anywhere in this package.
+a positive denominator. No floating point is used anywhere in this package:
+every scalar argument of a record, or of a formula on Chern vectors, slopes or
+the case bounds, is exactly an `int` or a `Fraction` (checked by `exact_int`
+and `exact_rational`; anything else is a TypeError naming the field). A
+degree d has its own check, `geometry.check_degree`, a ValueError.
 `to_jsonable`, the one JSON serializer, lives here so every module can use it.
 """
 
@@ -16,6 +20,22 @@ from operator import attrgetter
 from typing import Callable, Union
 
 RATIONAL_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def exact_int(value, name: str) -> int:
+    """`value` itself if it is exactly an int (not a bool); TypeError naming `name` otherwise."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def exact_rational(value, name: str) -> Fraction:
+    """A Fraction `value` itself, an int as a Fraction; TypeError naming `name` otherwise."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .chern import ChernVector
 from .errors import NegativeRank, NoPositiveRoot, ZeroRank
-from .rationals import INFINITY, ExtendedRational
+from .rationals import INFINITY, ExtendedRational, exact_int, exact_rational
 
 
 def slope_mu(geom, ch: ChernVector) -> ExtendedRational:
@@ -40,7 +40,7 @@ def bg_ok(geom, ch: ChernVector) -> bool:
 
 def tilt_slope_nu(geom, ch: ChernVector, t) -> ExtendedRational:
     """Tilt slope at scale t > 0; +inf when c1 = 0, an ordinary signed rational otherwise."""
-    t = Fraction(t)
+    t = exact_rational(t, "t")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if ch.c1 == 0:
@@ -99,13 +99,13 @@ def lemma1_slope_window(r: int) -> list[tuple[int, int]]:
     assuming the answer. Cross-multiplied integer comparisons keep it exact:
     the result is forced to the single pair (1, r).
     """
-    if r < 1:
+    if exact_int(r, "r") < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     return _slope_window(r + 1, r, r)
 
 
 def lemma2_slope_window(r: int) -> list[tuple[int, int]]:
     """All (k, s) with 1 <= s < r - 1 and 1/r <= k/s <= 1/(r-1); always empty."""
-    if r < 2:
+    if exact_int(r, "r") < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     return _slope_window(r, r - 1, r - 2)

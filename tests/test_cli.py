@@ -372,6 +372,33 @@ def test_config_file_nested_too_deeply(tmp_path):
     assert str(path).encode() in proc.stderr
 
 
+@pytest.mark.parametrize("argv, config, code, line", [
+    (["certify", "--preset", "quintic", "--mode", "even"], None, 2,
+     "linear-system hypothesis: not applicable (odd degree)"),
+    (["eval", "--op", "chi", "--ch", "1/2,1,0,0"], None, 3,
+     "--ch: ch0 and c1 must be integers, got 1/2,1"),
+    (["certify", "--preset", "quintic", "--curve-bound", "0:1"], None, 3,
+     "--curve-bound: beta must be >= 1, got 0"),
+    (["eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", "--t", "1/0"], None, 3,
+     "--t: malformed rational '1/0': denominator is zero"),
+    (["geom"], "[1]", 3, "expected a JSON object"),
+    (["geom"], "null", 3, "expected a JSON object"),
+    (["geom"], '{"d": [5], "c2h": 50}', 3, "field d: expected an integer, got [5]"),
+], ids=["odd-d-even-mode", "fractional-rank", "curve-bound-beta-0", "t-over-zero",
+        "config-list", "config-null", "config-d-list"])
+def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, line):
+    if config is not None:
+        path = tmp_path / "geom.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 3:
+        assert out == "" and err.count("\n") == 1 and line in err, err
+    else:
+        assert line in out.splitlines() and err == ""
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_enumerate_into_closed_pipe_ends_quietly():
     # d = 2000 prints about 146 kB, more than a pipe holds, so the child is
