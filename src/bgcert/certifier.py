@@ -9,7 +9,6 @@ exact; failures are verdicts, never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,13 +20,14 @@ from .geometry import (
     PolarizedCY3,
     castelnuovo_check,
     castelnuovo_range,
+    check_degree,
     check_h_assumption,
     check_h_assumption_even,
     default_chi_min,
     even_threshold,
     full_threshold,
 )
-from .rationals import exact_int, exact_rational, to_jsonable
+from .rationals import Record, exact_int, exact_rational, to_jsonable
 
 
 class Verdict(str, Enum):
@@ -51,16 +51,14 @@ class CastelnuovoStatus(str, Enum):
 # Affine comparisons (Case 1 runs over an unbounded length parameter).
 
 
-@dataclass(frozen=True)
-class AffineFn:
+class AffineFn(Record):
     """x -> slope*x + intercept, read as a function on x >= 0."""
 
-    slope: Fraction
-    intercept: Fraction
+    __slots__ = ("slope", "intercept")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", exact_rational(self.slope, "slope"))
-        object.__setattr__(self, "intercept", exact_rational(self.intercept, "intercept"))
+    def __init__(self, slope: Fraction, intercept: Fraction):
+        object.__setattr__(self, "slope", exact_rational(slope, "slope"))
+        object.__setattr__(self, "intercept", exact_rational(intercept, "intercept"))
 
     def __call__(self, x) -> Fraction:
         return self.slope * exact_rational(x, "x") + self.intercept
@@ -87,21 +85,28 @@ def _integer_equality_points(f: AffineFn, g: AffineFn) -> tuple[int, ...]:
 # Case 1: rank one, zero-dimensional subscheme of length l >= 0.
 
 
-@dataclass(frozen=True)
-class Case1Reading:
-    rhs: AffineFn
-    holds: bool
-    equality_lengths: tuple[int, ...]
+class Case1Reading(Record):
+    __slots__ = ("rhs", "holds", "equality_lengths")
+
+    def __init__(self, rhs: AffineFn, holds: bool, equality_lengths: tuple[int, ...]):
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "equality_lengths", equality_lengths)
 
 
-@dataclass(frozen=True)
-class Case1Trace:
-    lhs: AffineFn
-    constant_reading: Case1Reading
-    sloped_reading: Case1Reading
-    holds_for_all_lengths: bool
-    equality_lengths: tuple[int, ...]
-    equality_value: Fraction
+class Case1Trace(Record):
+    __slots__ = ("lhs", "constant_reading", "sloped_reading", "holds_for_all_lengths",
+                 "equality_lengths", "equality_value")
+
+    def __init__(self, lhs: AffineFn, constant_reading: Case1Reading, sloped_reading: Case1Reading,
+                 holds_for_all_lengths: bool, equality_lengths: tuple[int, ...],
+                 equality_value: Fraction):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "constant_reading", constant_reading)
+        object.__setattr__(self, "sloped_reading", sloped_reading)
+        object.__setattr__(self, "holds_for_all_lengths", holds_for_all_lengths)
+        object.__setattr__(self, "equality_lengths", equality_lengths)
+        object.__setattr__(self, "equality_value", equality_value)
 
 
 def case1_check(geom: PolarizedCY3) -> Case1Trace:
@@ -136,13 +141,15 @@ def case1_check(geom: PolarizedCY3) -> Case1Trace:
 # Case 2: rank one, one-dimensional subscheme of degree beta.
 
 
-@dataclass(frozen=True)
-class Case2Row:
-    beta: int
-    chi_min: int
-    ch3_bound: Fraction
-    ok: bool
-    source: str  # "default" or "supplied"
+class Case2Row(Record):
+    __slots__ = ("beta", "chi_min", "ch3_bound", "ok", "source")
+
+    def __init__(self, beta: int, chi_min: int, ch3_bound: Fraction, ok: bool, source: str):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "chi_min", chi_min)
+        object.__setattr__(self, "ch3_bound", ch3_bound)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "source", source)  # "default" or "supplied"
 
 
 def case2_check(
@@ -194,6 +201,7 @@ def case3_bound(geom: PolarizedCY3, ch2H, ch0F: int) -> Fraction:
 
 def min_positive_ch2H(d: int) -> Fraction:
     """Smallest positive ch2.H at c1 = H with integral c2.H: 1/2 for odd d, 1 for even."""
+    check_degree(d)
     return Fraction(1, 2) if d % 2 else Fraction(1)
 
 
@@ -205,14 +213,17 @@ def worst_case3_bound(geom: PolarizedCY3) -> Fraction:
     return case3_bound(geom, min_positive_ch2H(geom.d), 2)
 
 
-@dataclass(frozen=True)
-class Case3Trace:
-    min_ch2H: Fraction
-    ch0F: int
-    ext1_cap: Fraction
-    worst_bound: Fraction
-    impossible: bool
-    ok: bool
+class Case3Trace(Record):
+    __slots__ = ("min_ch2H", "ch0F", "ext1_cap", "worst_bound", "impossible", "ok")
+
+    def __init__(self, min_ch2H: Fraction, ch0F: int, ext1_cap: Fraction, worst_bound: Fraction,
+                 impossible: bool, ok: bool):
+        object.__setattr__(self, "min_ch2H", min_ch2H)
+        object.__setattr__(self, "ch0F", ch0F)
+        object.__setattr__(self, "ext1_cap", ext1_cap)
+        object.__setattr__(self, "worst_bound", worst_bound)
+        object.__setattr__(self, "impossible", impossible)
+        object.__setattr__(self, "ok", ok)
 
 
 def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
@@ -233,22 +244,22 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 MAX_CANDIDATES = 200_000
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Record):
     """A (rank, c2.H) pair with c1 = H surviving positivity and Bogomolov-Gieseker."""
 
-    r: int
-    c2H: int
-    ch2H: Fraction
+    __slots__ = ("r", "c2H", "ch2H")
 
-    def __post_init__(self):
-        if exact_int(self.r, "r") < 1:
-            raise ValueError(f"rank must be >= 1, got {self.r}")
-        if exact_int(self.c2H, "c2H") < 0:
-            raise ValueError(f"c2H must be >= 0, got {self.c2H}")
-        object.__setattr__(self, "ch2H", exact_rational(self.ch2H, "ch2H"))
-        if self.ch2H.numerator <= 0:
-            raise ValueError(f"ch2H must be positive, got {self.ch2H}")
+    def __init__(self, r: int, c2H: int, ch2H: Fraction):
+        if exact_int(r, "r") < 1:
+            raise ValueError(f"rank must be >= 1, got {r}")
+        if exact_int(c2H, "c2H") < 0:
+            raise ValueError(f"c2H must be >= 0, got {c2H}")
+        ch2H = exact_rational(ch2H, "ch2H")
+        if ch2H.numerator <= 0:
+            raise ValueError(f"ch2H must be positive, got {ch2H}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c2H", c2H)
+        object.__setattr__(self, "ch2H", ch2H)
 
 
 def candidate_count(d: int) -> int:
@@ -302,12 +313,14 @@ def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
 # The target inequality as a predicate.
 
 
-@dataclass(frozen=True)
-class IneqReport:
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    equality: bool
+class IneqReport(Record):
+    __slots__ = ("lhs", "rhs", "holds", "equality")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool, equality: bool):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "equality", equality)
 
 
 def check_ineq_1_2(ch: ChernVector) -> IneqReport:
@@ -322,28 +335,38 @@ def check_ineq_1_2(ch: ChernVector) -> IneqReport:
 # Certificate assembly.
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    mode: HypothesisMode
-    applicable: bool
-    dimH: int
-    threshold: Fraction
-    holds: bool
+class HypothesisCheck(Record):
+    __slots__ = ("mode", "applicable", "dimH", "threshold", "holds")
+
+    def __init__(self, mode: HypothesisMode, applicable: bool, dimH: int, threshold: Fraction,
+                 holds: bool):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "dimH", dimH)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "holds", holds)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    geometry: PolarizedCY3
-    hypothesis_mode: HypothesisMode
-    hypothesis: HypothesisCheck
-    hypothesis_ok: bool
-    castelnuovo_status: CastelnuovoStatus
-    case1: Case1Trace
-    case2: tuple[Case2Row, ...]
-    case3: Case3Trace
-    candidates: tuple[Candidate, ...]
-    violated_betas: tuple[int, ...]
-    verdict: Verdict
+class Certificate(Record):
+    __slots__ = ("geometry", "hypothesis_mode", "hypothesis", "hypothesis_ok", "castelnuovo_status",
+                 "case1", "case2", "case3", "candidates", "violated_betas", "verdict")
+
+    def __init__(self, geometry: PolarizedCY3, hypothesis_mode: HypothesisMode,
+                 hypothesis: HypothesisCheck, hypothesis_ok: bool,
+                 castelnuovo_status: CastelnuovoStatus, case1: Case1Trace,
+                 case2: tuple[Case2Row, ...], case3: Case3Trace, candidates: tuple[Candidate, ...],
+                 violated_betas: tuple[int, ...], verdict: Verdict):
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "hypothesis_mode", hypothesis_mode)
+        object.__setattr__(self, "hypothesis", hypothesis)
+        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
+        object.__setattr__(self, "castelnuovo_status", castelnuovo_status)
+        object.__setattr__(self, "case1", case1)
+        object.__setattr__(self, "case2", case2)
+        object.__setattr__(self, "case3", case3)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "violated_betas", violated_betas)
+        object.__setattr__(self, "verdict", verdict)
 
 
 # The JSON form of a certificate: its fields in declaration order, "p/q" rationals.

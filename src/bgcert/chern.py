@@ -10,29 +10,24 @@ total. Every value is immutable and every operation is a pure function.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import VirtualClassWarning
 from .geometry import PolarizedCY3, check_degree
-from .rationals import exact_int, exact_rational
+from .rationals import Record, exact_int, exact_rational
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Numerical Chern character (ch0, c1, ch2.H, ch3) in the H-basis."""
 
-    ch0: int
-    c1: int
-    ch2H: Fraction
-    ch3: Fraction
+    __slots__ = ("ch0", "c1", "ch2H", "ch3")
 
-    def __post_init__(self):
-        exact_int(self.ch0, "ch0")
-        exact_int(self.c1, "c1")
-        object.__setattr__(self, "ch2H", exact_rational(self.ch2H, "ch2H"))
-        object.__setattr__(self, "ch3", exact_rational(self.ch3, "ch3"))
+    def __init__(self, ch0: int, c1: int, ch2H: Fraction, ch3: Fraction):
+        object.__setattr__(self, "ch0", exact_int(ch0, "ch0"))
+        object.__setattr__(self, "c1", exact_int(c1, "c1"))
+        object.__setattr__(self, "ch2H", exact_rational(ch2H, "ch2H"))
+        object.__setattr__(self, "ch3", exact_rational(ch3, "ch3"))
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
         return ChernVector(self.ch0 + other.ch0, self.c1 + other.c1,
@@ -46,6 +41,7 @@ class ChernVector:
         return ChernVector(-self.ch0, -self.c1, -self.ch2H, -self.ch3)
 
     def __mul__(self, k: int) -> "ChernVector":
+        exact_int(k, "k")
         return ChernVector(self.ch0 * k, self.c1 * k, self.ch2H * k, self.ch3 * k)
 
     __rmul__ = __mul__

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping
 
 from .errors import (
@@ -24,7 +22,7 @@ from .errors import (
     OddDegree,
     UnknownPreset,
 )
-from .rationals import exact_int
+from .rationals import Record, exact_int
 
 
 def check_degree(d: int) -> None:
@@ -52,24 +50,24 @@ def derive_dimH(d: int, c2XH: int) -> int:
     return int(chi) - 1
 
 
-@dataclass(frozen=True)
-class PolarizedCY3:
+class PolarizedCY3(Record):
     """(H^3, c2(X).H, dim|H|) with the Riemann-Roch consistency invariant."""
 
-    d: int
-    c2XH: int
-    dimH: int
-    castelnuovo_known: bool = False
+    __slots__ = ("d", "c2XH", "dimH", "castelnuovo_known")
 
-    def __post_init__(self):
-        exact_int(self.dimH, "dimH")  # derive_dimH checks d and c2XH
-        if type(self.castelnuovo_known) is not bool:
-            raise TypeError(f"castelnuovo_known must be a bool, got {self.castelnuovo_known!r}")
-        expected = derive_dimH(self.d, self.c2XH)
-        if self.dimH != expected:
+    def __init__(self, d: int, c2XH: int, dimH: int, castelnuovo_known: bool = False):
+        exact_int(dimH, "dimH")  # derive_dimH checks d and c2XH
+        if type(castelnuovo_known) is not bool:
+            raise TypeError(f"castelnuovo_known must be a bool, got {castelnuovo_known!r}")
+        expected = derive_dimH(d, c2XH)
+        if dimH != expected:
             raise InconsistentGeometry(
-                f"field dimh = {self.dimH} contradicts d/6 + c2h/12 - 1 = {expected}"
+                f"field dimh = {dimH} contradicts d/6 + c2h/12 - 1 = {expected}"
             )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c2XH", c2XH)
+        object.__setattr__(self, "dimH", dimH)
+        object.__setattr__(self, "castelnuovo_known", castelnuovo_known)
 
     @classmethod
     def derive(cls, d: int, c2XH: int, castelnuovo_known: bool = False) -> "PolarizedCY3":
@@ -82,17 +80,16 @@ class PolarizedCY3:
         return self.dimH + 1
 
 
-@dataclass(frozen=True)
-class CurveBound:
+class CurveBound(Record):
     """Smallest chi(O_C) asserted to occur among curves of degree beta = C.H."""
 
-    beta: int
-    chi_min: int
+    __slots__ = ("beta", "chi_min")
 
-    def __post_init__(self):
-        if exact_int(self.beta, "beta") < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        exact_int(self.chi_min, "chi_min")
+    def __init__(self, beta: int, chi_min: int):
+        if exact_int(beta, "beta") < 1:
+            raise ValueError(f"beta must be >= 1, got {beta}")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "chi_min", exact_int(chi_min, "chi_min"))
 
 
 # Preset invariants are recomputed in the test suite from the ambient
@@ -116,11 +113,13 @@ def from_preset(name: str) -> PolarizedCY3:
 
 def full_threshold(d: int) -> Fraction:
     """The bound 7d/6 - 3 that the linear-system hypothesis puts on dim|H|."""
+    check_degree(d)
     return Fraction(7 * d, 6) - 3
 
 
 def even_threshold(d: int) -> Fraction:
     """The bound 2d/3 - 3 of the even-degree variant of the hypothesis."""
+    check_degree(d)
     return Fraction(2 * d, 3) - 3
 
 
@@ -205,7 +204,8 @@ def load_geometry_config(path) -> dict:
     In the line format, blank lines and "#" comments are skipped and ":" is
     accepted in place of "=".
     """
-    text = Path(path).read_text()
+    with open(path) as file:
+        text = file.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError:

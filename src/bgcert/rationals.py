@@ -6,13 +6,14 @@ every scalar argument of a record, or of a formula on Chern vectors, slopes or
 the case bounds, is exactly an `int` or a `Fraction` (checked by `exact_int`
 and `exact_rational`; anything else is a TypeError naming the field). A
 degree d has its own check, `geometry.check_degree`, a ValueError.
-`to_jsonable`, the one JSON serializer, lives here so every module can use it.
+`Record`, the base of every immutable record, and `to_jsonable`, the one JSON
+serializer, live here so every module can use them. A record declares its
+fields once, as `__slots__` in declaration order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, total_ordering
@@ -64,9 +65,41 @@ def format_rational(value: Fraction | int) -> str:
 
 def to_jsonable(value):
     """JSON form of a record tree: Fraction to "p/q", INFINITY to "+inf", Enum to
-    its value, tuple or list to a list, dataclass to a dict of its fields in
-    declaration order."""
+    its value, tuple or list to a list, record to a dict of its fields in
+    declaration order (its `__slots__`)."""
     return _converter(type(value))(value)
+
+
+class Record:
+    """Base of the immutable records. A record's fields are its `__slots__`, in
+    declaration order; its `__init__` sets each once with `object.__setattr__`.
+    Records compare and hash field by field, only with records of the same class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
 
 
 @cache
@@ -80,8 +113,8 @@ def _converter(cls: type) -> Callable:
         return attrgetter("value")
     if issubclass(cls, (tuple, list)):
         return lambda value: [to_jsonable(item) for item in value]
-    if is_dataclass(cls):
-        names = tuple(f.name for f in fields(cls))
+    if issubclass(cls, Record):
+        names = cls.__slots__
         return lambda value: {name: to_jsonable(getattr(value, name)) for name in names}
     return lambda value: value  # int, bool, str, None
 

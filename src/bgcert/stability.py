@@ -11,12 +11,11 @@ with +infinity on c1 = 0 classes (the torsion part of the tilted heart).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernVector
 from .errors import NegativeRank, NoPositiveRoot, ZeroRank
-from .rationals import INFINITY, ExtendedRational, exact_int, exact_rational
+from .rationals import INFINITY, ExtendedRational, Record, exact_int, exact_rational
 
 
 def slope_mu(geom, ch: ChernVector) -> ExtendedRational:
@@ -61,23 +60,25 @@ def nu_zero_tsq(geom, ch: ChernVector) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    ordered: bool
-    ch2H_sub: Fraction
-    ch2H_quot: Fraction
+class SandwichReport(Record):
+    __slots__ = ("ordered", "ch2H_sub", "ch2H_quot")
+
+    def __init__(self, ordered: bool, ch2H_sub: Fraction, ch2H_quot: Fraction):
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "ch2H_sub", ch2H_sub)
+        object.__setattr__(self, "ch2H_quot", ch2H_quot)
 
 
 def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> SandwichReport:
     """Check nu(-sub) <= 0 <= nu(quot) at scale t.
 
     The shift on the sub-object negates its class. A zero class on either
-    side constrains nothing and that side is vacuously ordered. Both ch2.H
-    numbers are reported so the caller can confirm positivity on ordered
-    inputs.
+    side constrains nothing and that side is vacuously ordered, but t is
+    checked on both sides all the same. Both ch2.H numbers are reported so
+    the caller can confirm positivity on ordered inputs.
     """
-    left_ok = ch_sub.is_zero() or tilt_slope_nu(geom, -ch_sub, t) <= 0
-    right_ok = ch_quot.is_zero() or tilt_slope_nu(geom, ch_quot, t) >= 0
+    left_ok = tilt_slope_nu(geom, -ch_sub, t) <= 0 or ch_sub.is_zero()
+    right_ok = tilt_slope_nu(geom, ch_quot, t) >= 0 or ch_quot.is_zero()
     return SandwichReport(left_ok and right_ok, ch_sub.ch2H, ch_quot.ch2H)
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -372,6 +371,17 @@ def test_config_file_nested_too_deeply(tmp_path):
     assert str(path).encode() in proc.stderr
 
 
+def test_import_loads_no_code_generating_modules():
+    # dataclasses brings in inspect, ast, dis and tokenize, about 30 ms of every process;
+    # pathlib brings in urllib.parse and ipaddress. Without `site` nothing imports them first.
+    probe = ("import sys, bgcert.cli; print(sorted(set(sys.modules) & "
+             "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'pathlib'}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv, config, code, line", [
     (["certify", "--preset", "quintic", "--mode", "even"], None, 2,
      "linear-system hypothesis: not applicable (odd degree)"),
@@ -424,7 +434,12 @@ def test_enumerate_into_closed_pipe_ends_quietly():
 def test_internal_fault_is_exit_4_not_a_verdict(capsys, monkeypatch):
     # A broken cross-check inside certify_theorem must not read as exit 1 (CONDITIONAL).
     trace = certifier._case3_trace
-    monkeypatch.setattr(certifier, "_case3_trace", lambda geom: dataclasses.replace(trace(geom), ok=False))
+
+    def broken_trace(geom):  # the real trace, with ok=False
+        t = trace(geom)
+        return certifier.Case3Trace(t.min_ch2H, t.ch0F, t.ext1_cap, t.worst_bound, t.impossible, ok=False)
+
+    monkeypatch.setattr(certifier, "_case3_trace", broken_trace)
     code, out, err = run(capsys, "certify", "--preset", "quintic")
     assert code == 4
     assert out == ""

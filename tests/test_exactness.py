@@ -30,6 +30,7 @@ from bgcert import (
     sandwich_check,
     tilt_slope_nu,
 )
+from bgcert.chern import ZERO
 from bgcert.geometry import default_chi_min, from_preset
 from bgcert.rationals import exact_rational, to_jsonable
 
@@ -73,6 +74,10 @@ INT_FIELDS = [
     ("default_chi_min", "beta", lambda x: default_chi_min(QUINTIC, x), 1, 0),
     ("CurveBound", "beta", lambda x: CurveBound(x, 0), 1, {"beta": 1, "chi_min": 0}),
     ("CurveBound", "chi_min", lambda x: CurveBound(1, x), -1, {"beta": 1, "chi_min": -1}),
+    ("ChernVector.__mul__", "k", lambda x: line_bundle_ch(5, 1) * x, 2,
+     {"ch0": 2, "c1": 2, "ch2H": "5", "ch3": "5/3"}),
+    ("ChernVector.__rmul__", "k", lambda x: x * line_bundle_ch(5, 1), -1,
+     {"ch0": -1, "c1": -1, "ch2H": "-5/2", "ch3": "-5/6"}),
 ]
 
 RATIONAL_FIELDS = [
@@ -90,6 +95,8 @@ RATIONAL_FIELDS = [
     ("sandwich_check", "t",
      lambda x: sandwich_check(QUINTIC, line_bundle_ch(5, -1), line_bundle_ch(5, 1), x), 1,
      {"ordered": True, "ch2H_sub": "5/2", "ch2H_quot": "5/2"}),
+    ("sandwich_check(ZERO, ZERO)", "t", lambda x: sandwich_check(QUINTIC, ZERO, ZERO, x), 1,
+     {"ordered": True, "ch2H_sub": "0", "ch2H_quot": "0"}),
     ("ch_from_chern_classes", "c2H", lambda x: ch_from_chern_classes(5, 1, 1, x, 0), 0, O_H),
     ("ch_from_chern_classes", "c3", lambda x: ch_from_chern_classes(5, 1, 1, 0, x), 1,
      {**O_H, "ch3": "4/3"}),

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import ci_chern_numbers
+from bgcert.certifier import min_positive_ch2H
 from bgcert.chern import line_bundle_ch
 from bgcert.errors import (
     BetaOutOfRange,
@@ -24,7 +25,9 @@ from bgcert.geometry import (
     check_h_assumption_even,
     default_chi_min,
     derive_dimH,
+    even_threshold,
     from_preset,
+    full_threshold,
     geometry_from_config,
     load_geometry_config,
 )
@@ -89,14 +92,14 @@ def test_riemann_roch_consistency_invariant(geom):
     assert geom.chi_OH == geom.dimH + 1
 
 
-@pytest.mark.parametrize("d", [0, True])
+@pytest.mark.parametrize("d", [0, True, 5.0, Q(6)])
 def test_degree_check_has_one_message(d):
-    # derive_dimH and the chern constructors share one check, so one message.
-    with pytest.raises(ValueError) as from_geometry:
-        derive_dimH(d, 50)
-    with pytest.raises(ValueError) as from_chern:
-        line_bundle_ch(d, 1)
-    assert str(from_geometry.value) == str(from_chern.value) == f"d must be a positive integer, got {d!r}"
+    # derive_dimH, the chern constructors and the formulas of d alone share one check.
+    for call, args in ((derive_dimH, (d, 50)), (line_bundle_ch, (d, 1)), (full_threshold, (d,)),
+                       (even_threshold, (d,)), (min_positive_ch2H, (d,))):
+        with pytest.raises(ValueError) as caught:
+            call(*args)
+        assert str(caught.value) == f"d must be a positive integer, got {d!r}", call.__name__
 
 
 @pytest.mark.parametrize("fields, bad", [

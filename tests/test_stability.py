@@ -182,6 +182,9 @@ def test_sandwich_example_concrete():
 def test_sandwich_zero_sub_is_vacuous():
     report = sandwich_check(QUINTIC, ZERO, line_bundle_ch(5, 1), 1)
     assert report.ordered  # reduces to 0 <= 1/3
+    for t in (0, -1):  # a zero class does not exempt t from t > 0
+        with pytest.raises(ValueError, match="t must be positive"):
+            sandwich_check(QUINTIC, ZERO, ZERO, t)
 
 
 def test_sandwich_ordered_case():
