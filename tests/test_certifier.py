@@ -217,7 +217,7 @@ def test_enumerate_matches_naive_scan(d):
     geom = PolarizedCY3(d, 12 - 2 * d, 0)
     expected = [Candidate(r, c, Q(d, 2) - c) for r, c in naive_candidates(d)]
     got = enumerate_candidates(geom)
-    assert got == expected  # dataclass equality: field for field
+    assert got == expected  # record equality: field for field
     assert all(type(c.ch2H) is Q for c in got)
     assert candidate_count(d) == len(got)  # the closed form the limit is checked on
 
