@@ -57,8 +57,7 @@ class AffineFn(Record):
     __slots__ = ("slope", "intercept")
 
     def __init__(self, slope: Fraction, intercept: Fraction):
-        object.__setattr__(self, "slope", exact_rational(slope, "slope"))
-        object.__setattr__(self, "intercept", exact_rational(intercept, "intercept"))
+        super().__init__(exact_rational(slope, "slope"), exact_rational(intercept, "intercept"))
 
     def __call__(self, x) -> Fraction:
         return self.slope * exact_rational(x, "x") + self.intercept
@@ -88,25 +87,10 @@ def _integer_equality_points(f: AffineFn, g: AffineFn) -> tuple[int, ...]:
 class Case1Reading(Record):
     __slots__ = ("rhs", "holds", "equality_lengths")
 
-    def __init__(self, rhs: AffineFn, holds: bool, equality_lengths: tuple[int, ...]):
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "equality_lengths", equality_lengths)
-
 
 class Case1Trace(Record):
     __slots__ = ("lhs", "constant_reading", "sloped_reading", "holds_for_all_lengths",
                  "equality_lengths", "equality_value")
-
-    def __init__(self, lhs: AffineFn, constant_reading: Case1Reading, sloped_reading: Case1Reading,
-                 holds_for_all_lengths: bool, equality_lengths: tuple[int, ...],
-                 equality_value: Fraction):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "constant_reading", constant_reading)
-        object.__setattr__(self, "sloped_reading", sloped_reading)
-        object.__setattr__(self, "holds_for_all_lengths", holds_for_all_lengths)
-        object.__setattr__(self, "equality_lengths", equality_lengths)
-        object.__setattr__(self, "equality_value", equality_value)
 
 
 def case1_check(geom: PolarizedCY3) -> Case1Trace:
@@ -142,14 +126,7 @@ def case1_check(geom: PolarizedCY3) -> Case1Trace:
 
 
 class Case2Row(Record):
-    __slots__ = ("beta", "chi_min", "ch3_bound", "ok", "source")
-
-    def __init__(self, beta: int, chi_min: int, ch3_bound: Fraction, ok: bool, source: str):
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "chi_min", chi_min)
-        object.__setattr__(self, "ch3_bound", ch3_bound)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "source", source)  # "default" or "supplied"
+    __slots__ = ("beta", "chi_min", "ch3_bound", "ok", "source")  # source: "default" or "supplied"
 
 
 def case2_check(
@@ -216,15 +193,6 @@ def worst_case3_bound(geom: PolarizedCY3) -> Fraction:
 class Case3Trace(Record):
     __slots__ = ("min_ch2H", "ch0F", "ext1_cap", "worst_bound", "impossible", "ok")
 
-    def __init__(self, min_ch2H: Fraction, ch0F: int, ext1_cap: Fraction, worst_bound: Fraction,
-                 impossible: bool, ok: bool):
-        object.__setattr__(self, "min_ch2H", min_ch2H)
-        object.__setattr__(self, "ch0F", ch0F)
-        object.__setattr__(self, "ext1_cap", ext1_cap)
-        object.__setattr__(self, "worst_bound", worst_bound)
-        object.__setattr__(self, "impossible", impossible)
-        object.__setattr__(self, "ok", ok)
-
 
 def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
     mch = min_positive_ch2H(geom.d)
@@ -257,9 +225,7 @@ class Candidate(Record):
         ch2H = exact_rational(ch2H, "ch2H")
         if ch2H.numerator <= 0:
             raise ValueError(f"ch2H must be positive, got {ch2H}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c2H", c2H)
-        object.__setattr__(self, "ch2H", ch2H)
+        super().__init__(r, c2H, ch2H)
 
 
 def candidate_count(d: int) -> int:
@@ -316,12 +282,6 @@ def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
 class IneqReport(Record):
     __slots__ = ("lhs", "rhs", "holds", "equality")
 
-    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool, equality: bool):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "equality", equality)
-
 
 def check_ineq_1_2(ch: ChernVector) -> IneqReport:
     """ch3 <= ch2H / (3 ch0) for positive-rank classes."""
@@ -338,35 +298,10 @@ def check_ineq_1_2(ch: ChernVector) -> IneqReport:
 class HypothesisCheck(Record):
     __slots__ = ("mode", "applicable", "dimH", "threshold", "holds")
 
-    def __init__(self, mode: HypothesisMode, applicable: bool, dimH: int, threshold: Fraction,
-                 holds: bool):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "dimH", dimH)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "holds", holds)
-
 
 class Certificate(Record):
     __slots__ = ("geometry", "hypothesis_mode", "hypothesis", "hypothesis_ok", "castelnuovo_status",
                  "case1", "case2", "case3", "candidates", "violated_betas", "verdict")
-
-    def __init__(self, geometry: PolarizedCY3, hypothesis_mode: HypothesisMode,
-                 hypothesis: HypothesisCheck, hypothesis_ok: bool,
-                 castelnuovo_status: CastelnuovoStatus, case1: Case1Trace,
-                 case2: tuple[Case2Row, ...], case3: Case3Trace, candidates: tuple[Candidate, ...],
-                 violated_betas: tuple[int, ...], verdict: Verdict):
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "hypothesis_mode", hypothesis_mode)
-        object.__setattr__(self, "hypothesis", hypothesis)
-        object.__setattr__(self, "hypothesis_ok", hypothesis_ok)
-        object.__setattr__(self, "castelnuovo_status", castelnuovo_status)
-        object.__setattr__(self, "case1", case1)
-        object.__setattr__(self, "case2", case2)
-        object.__setattr__(self, "case3", case3)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "violated_betas", violated_betas)
-        object.__setattr__(self, "verdict", verdict)
 
 
 # The JSON form of a certificate: its fields in declaration order, "p/q" rationals.

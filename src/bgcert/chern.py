@@ -24,10 +24,8 @@ class ChernVector(Record):
     __slots__ = ("ch0", "c1", "ch2H", "ch3")
 
     def __init__(self, ch0: int, c1: int, ch2H: Fraction, ch3: Fraction):
-        object.__setattr__(self, "ch0", exact_int(ch0, "ch0"))
-        object.__setattr__(self, "c1", exact_int(c1, "c1"))
-        object.__setattr__(self, "ch2H", exact_rational(ch2H, "ch2H"))
-        object.__setattr__(self, "ch3", exact_rational(ch3, "ch3"))
+        super().__init__(exact_int(ch0, "ch0"), exact_int(c1, "c1"),
+                         exact_rational(ch2H, "ch2H"), exact_rational(ch3, "ch3"))
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
         return ChernVector(self.ch0 + other.ch0, self.c1 + other.c1,

@@ -37,7 +37,7 @@ from .geometry import (
     geometry_from_config,
     load_geometry_config,
 )
-from .rationals import format_rational, parse_rational, to_jsonable
+from .rationals import format_rational, parse_int, parse_rational, to_jsonable
 from .stability import bg_discriminant, slope_mu, tilt_slope_nu
 
 EXIT_OK = 0
@@ -61,9 +61,9 @@ _MODES = {"auto": "auto", "full": "full_1_3", "even": "even_variant"}
 
 def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named geometry: quintic, ci24 or ci223")
-    parser.add_argument("--d", type=int, help="degree H^3 of a custom geometry")
-    parser.add_argument("--c2h", type=int, help="c2(X).H of a custom geometry")
-    parser.add_argument("--dimh", type=int, help="dim|H| override (must match Riemann-Roch)")
+    parser.add_argument("--d", type=parse_int, help="degree H^3 of a custom geometry")
+    parser.add_argument("--c2h", type=parse_int, help="c2(X).H of a custom geometry")
+    parser.add_argument("--dimh", type=parse_int, help="dim|H| override (must match Riemann-Roch)")
     parser.add_argument(
         "--castelnuovo-known",
         action="store_true",
@@ -152,7 +152,7 @@ def _parse_curve_bound(text: str) -> CurveBound:
     if not sep:
         raise ConfigError(f"--curve-bound expects BETA:CHI, got {text!r}")
     try:
-        beta, chi = int(beta_str), int(chi_str)
+        beta, chi = parse_int(beta_str), parse_int(chi_str)
     except ValueError:
         raise ConfigError(f"--curve-bound expects integers BETA:CHI, got {text!r}") from None
     try:

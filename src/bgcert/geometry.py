@@ -22,7 +22,7 @@ from .errors import (
     OddDegree,
     UnknownPreset,
 )
-from .rationals import Record, exact_int
+from .rationals import Record, exact_int, parse_int
 
 
 def check_degree(d: int) -> None:
@@ -64,10 +64,7 @@ class PolarizedCY3(Record):
             raise InconsistentGeometry(
                 f"field dimh = {dimH} contradicts d/6 + c2h/12 - 1 = {expected}"
             )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "c2XH", c2XH)
-        object.__setattr__(self, "dimH", dimH)
-        object.__setattr__(self, "castelnuovo_known", castelnuovo_known)
+        super().__init__(d, c2XH, dimH, castelnuovo_known)
 
     @classmethod
     def derive(cls, d: int, c2XH: int, castelnuovo_known: bool = False) -> "PolarizedCY3":
@@ -88,8 +85,7 @@ class CurveBound(Record):
     def __init__(self, beta: int, chi_min: int):
         if exact_int(beta, "beta") < 1:
             raise ValueError(f"beta must be >= 1, got {beta}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "chi_min", exact_int(chi_min, "chi_min"))
+        super().__init__(beta, exact_int(chi_min, "chi_min"))
 
 
 # Preset invariants are recomputed in the test suite from the ambient
@@ -168,7 +164,7 @@ _CONFIG_FIELDS = ("d", "c2h", "dimh", "castelnuovo_known")
 
 def _as_int(value, field: str) -> int:
     try:
-        return int(value.strip()) if isinstance(value, str) else exact_int(value, field)
+        return parse_int(value) if isinstance(value, str) else exact_int(value, field)
     except (TypeError, ValueError):
         raise ConfigError(f"field {field}: expected an integer, got {value!r}", field=field) from None
 
@@ -199,12 +195,12 @@ def geometry_from_config(data: Mapping) -> PolarizedCY3:
 
 
 def load_geometry_config(path) -> dict:
-    """Read a config file: a JSON object, or fallback "key = value" lines.
+    """Read a UTF-8 config file, BOM allowed: a JSON object, or "key = value" lines.
 
     In the line format, blank lines and "#" comments are skipped and ":" is
     accepted in place of "=".
     """
-    with open(path) as file:
+    with open(path, encoding="utf-8-sig") as file:
         text = file.read()
     try:
         data = json.loads(text)

@@ -8,7 +8,8 @@ and `exact_rational`; anything else is a TypeError naming the field). A
 degree d has its own check, `geometry.check_degree`, a ValueError.
 `Record`, the base of every immutable record, and `to_jsonable`, the one JSON
 serializer, live here so every module can use them. A record declares its
-fields once, as `__slots__` in declaration order.
+fields once, as `__slots__` in declaration order, and the base `__init__`
+sets them; a record with checks validates its fields and then calls it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from operator import attrgetter
 from typing import Callable, Union
 
 RATIONAL_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+INTEGER_GRAMMAR = re.compile(r"-?[0-9]+")
 
 
 def exact_int(value, name: str) -> int:
@@ -56,6 +58,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def parse_int(text: str) -> int:
+    """Parse "p", the integer part of the rational grammar: ``-?[0-9]+``.
+
+    Unlike `int()`, it rejects "5_0", non-ASCII digits and a leading "+".
+    """
+    s = text.strip()
+    if not INTEGER_GRAMMAR.fullmatch(s):
+        raise ValueError(f"malformed integer {text!r}: expected -?[0-9]+")
+    return int(s)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     if value.denominator == 1:
@@ -72,10 +85,30 @@ def to_jsonable(value):
 
 class Record:
     """Base of the immutable records. A record's fields are its `__slots__`, in
-    declaration order; its `__init__` sets each once with `object.__setattr__`.
-    Records compare and hash field by field, only with records of the same class."""
+    declaration order. `Record.__init__` takes them positionally or by keyword
+    and sets each once; a record with checks validates its fields in its own
+    `__init__` and then calls this one. Records compare and hash field by
+    field, only with records of the same class."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        rest = names[len(values):]
+        if len(values) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields "
+                            f"({', '.join(names)}) but {len(values)} values were given")
+        for name in named:
+            if name not in rest:
+                problem = "multiple values for" if name in names else "an unexpected"
+                raise TypeError(f"{type(self).__qualname__}() got {problem} field {name!r}")
+        setfield = object.__setattr__
+        for name, value in zip(names, values):
+            setfield(self, name, value)
+        for name in rest:
+            if name not in named:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+            setfield(self, name, named[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -63,11 +63,6 @@ def nu_zero_tsq(geom, ch: ChernVector) -> Fraction:
 class SandwichReport(Record):
     __slots__ = ("ordered", "ch2H_sub", "ch2H_quot")
 
-    def __init__(self, ordered: bool, ch2H_sub: Fraction, ch2H_quot: Fraction):
-        object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "ch2H_sub", ch2H_sub)
-        object.__setattr__(self, "ch2H_quot", ch2H_quot)
-
 
 def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> SandwichReport:
     """Check nu(-sub) <= 0 <= nu(quot) at scale t.

@@ -394,8 +394,14 @@ def test_import_loads_no_code_generating_modules():
     (["geom"], "[1]", 3, "expected a JSON object"),
     (["geom"], "null", 3, "expected a JSON object"),
     (["geom"], '{"d": [5], "c2h": 50}', 3, "field d: expected an integer, got [5]"),
+    (["certify", "--preset", "quintic", "--curve-bound", "1:-1_0"], None, 3,
+     "--curve-bound expects integers BETA:CHI, got '1:-1_0'"),
+    (["geom"], "d = 5_0\nc2h = 50\n", 3, "field d: expected an integer, got '5_0'"),
+    (["geom"], '{"d": 5, "c2h": "\\u0665\\u0660"}', 3,
+     "field c2h: expected an integer, got '\u0665\u0660'"),
 ], ids=["odd-d-even-mode", "fractional-rank", "curve-bound-beta-0", "t-over-zero",
-        "config-list", "config-null", "config-d-list"])
+        "config-list", "config-null", "config-d-list", "curve-bound-underscore",
+        "config-line-underscore", "config-json-arabic-indic"])
 def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, line):
     if config is not None:
         path = tmp_path / "geom.cfg"
@@ -407,6 +413,23 @@ def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, 
         assert out == "" and err.count("\n") == 1 and line in err, err
     else:
         assert line in out.splitlines() and err == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "5_0"), ("--d", "\u0665"), ("--d", "+5"),
+                                         ("--c2h", "5_0"), ("--dimh", "4_")])
+def test_integer_flags_follow_the_rational_grammar(capsys, flag, value):
+    flags = {"--d": "5", "--c2h": "50", flag: value}
+    code, out, err = run(capsys, "certify", *(item for pair in flags.items() for item in pair))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].endswith(f"argument {flag}: invalid parse_int value: {value!r}")
+
+
+def test_config_file_not_utf8_is_exit_3(capsys, tmp_path):
+    path = tmp_path / "geom.cfg"
+    path.write_bytes("d = 5\nc2h = 50  # caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "geom", "--config", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: UnicodeDecodeError: 'utf-8' codec") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

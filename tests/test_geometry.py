@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
 
+import codecs
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -200,9 +202,10 @@ def test_geometry_from_config_reports_offending_field():
     with pytest.raises(ConfigError) as err:
         geometry_from_config({"d": 5, "c2h": 50, "degree": 5})
     assert err.value.field == "degree"
-    with pytest.raises(ConfigError) as err:
-        geometry_from_config({"d": "five", "c2h": 50})
-    assert err.value.field == "d"
+    for bad in ("five", "5_0", "\u0665", "+5"):  # int() takes the last three
+        with pytest.raises(ConfigError, match="field d: expected an integer") as err:
+            geometry_from_config({"d": bad, "c2h": 50})
+        assert err.value.field == "d"
     with pytest.raises(ConfigError) as err:
         geometry_from_config({"d": 5, "c2h": 50, "castelnuovo_known": "maybe"})
     assert err.value.field == "castelnuovo_known"
@@ -218,6 +221,17 @@ def test_load_geometry_config_key_value(tmp_path):
     path = tmp_path / "geom.cfg"
     path.write_text("# the quintic\nd = 5\nc2h: 50\ncastelnuovo_known = yes\n")
     assert geometry_from_config(load_geometry_config(path)) == PolarizedCY3(5, 50, 4, True)
+
+
+@pytest.mark.parametrize("text", ['{"d": 5, "c2h": 50, "castelnuovo_known": true}',
+                                  "d = 5\nc2h: 50\ncastelnuovo_known = yes\n"],
+                         ids=["json", "lines"])
+def test_load_geometry_config_skips_a_byte_order_mark(tmp_path, text):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert load_geometry_config(marked) == load_geometry_config(plain)
+    assert geometry_from_config(load_geometry_config(marked)) == PolarizedCY3(5, 50, 4, True)
 
 
 def test_load_geometry_config_bad_line(tmp_path):

@@ -1,14 +1,18 @@
-"""The record contract: a record is immutable, compares and hashes field by field
-with records of its own class only, has the `Name(field=value, ...)` repr, and
-serializes its fields in declaration order.
+"""The record contract: a record is built from its fields positionally or by
+keyword, is immutable, compares and hashes field by field with records of its
+own class only, has the `Name(field=value, ...)` repr, and serializes its
+fields in declaration order.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import bgcert
 from bgcert import certifier
 from bgcert.chern import ZERO, line_bundle_ch
 from bgcert.geometry import CurveBound, PolarizedCY3, from_preset
@@ -147,8 +151,48 @@ def test_record_contract(make, text, keys):
     assert repr(record) == text
     assert tuple(to_jsonable(record)) == keys
 
+    names, fields = cls.__slots__, dict(zip(cls.__slots__, values))
+    too_many = _construction_error(cls, *values, values[-1])
+    # Record.__init__ lists the fields; a checked record's own signature gives the count.
+    assert ("positional arguments" if "__init__" in vars(cls) else f"({', '.join(names)})") in too_many
+    missing = _construction_error(cls, **dict(zip(names[1:], values[1:])))
+    assert f"'{names[0]}'" in missing and "missing" in missing
+    unknown = _construction_error(cls, *values, colour=None)
+    assert "'colour'" in unknown and "unexpected" in unknown
+    twice = _construction_error(cls, values[0], **fields)
+    assert f"'{names[0]}'" in twice and "multiple values" in twice
+
+
+def _construction_error(cls, *values, **named) -> str:
+    with pytest.raises(TypeError) as info:
+        cls(*values, **named)
+    message = str(info.value)
+    assert message.startswith(cls.__name__), message
+    return message
+
 
 def test_every_record_class_is_in_the_contract():
     sampled = {param.values[0]().__class__ for param in RECORDS}
     program = {c for c in Record.__subclasses__() if c.__module__.startswith("bgcert.")}
     assert sampled == program and len(sampled) == 13
+
+
+def test_only_records_with_checks_define_init():
+    program = {c for c in Record.__subclasses__() if c.__module__.startswith("bgcert.")}
+    own_init = {c.__name__ for c in program if "__init__" in vars(c)}
+    assert own_init == {"AffineFn", "Candidate", "ChernVector", "PolarizedCY3", "CurveBound"}
+
+
+def test_only_record_init_writes_a_field():
+    # Every field is set in one place, Record.__init__; no module sets one by hand.
+    package = Path(bgcert.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = [n for n, line in enumerate(text.splitlines(), 1) if "object.__setattr__" in line]
+        if path.name == "rationals.py":
+            record = next(node for node in ast.parse(text).body
+                          if isinstance(node, ast.ClassDef) and node.name == "Record")
+            lines = [n for n in lines if not record.lineno <= n <= record.end_lineno]
+        found += [f"{path.name}:{n}" for n in lines]
+    assert found == []

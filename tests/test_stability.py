@@ -9,7 +9,7 @@ from _oracles import naive_lemma1_window, naive_lemma2_window
 from bgcert.chern import ZERO, ChernVector, extend_by_trivial, line_bundle_ch, quotient_by_trivial
 from bgcert.errors import NegativeRank, NoPositiveRoot, ZeroRank
 from bgcert.geometry import PolarizedCY3, from_preset
-from bgcert.rationals import INFINITY, format_rational, parse_rational, to_jsonable
+from bgcert.rationals import INFINITY, format_rational, parse_int, parse_rational, to_jsonable
 from bgcert.stability import (
     bg_discriminant,
     bg_ok,
@@ -70,6 +70,14 @@ def test_rational_parse_and_format():
     for bad in ("1/-2", "+3", "1.5", "x", "1/0", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_integer_parse_is_the_integer_part_of_the_rational_grammar():
+    assert parse_int("-12") == -12 and parse_int(" 7\n") == 7 and parse_int("007") == 7
+    # int() takes the first four (an underscore, non-ASCII digits, a plus sign); this takes none.
+    for bad in ("5_0", "\u0665", "\uff15", "+5", "1/2", "1.0", "- 5", ""):
+        with pytest.raises(ValueError, match="malformed integer"):
+            parse_int(bad)
 
 
 def test_to_jsonable_looks_format_rational_up_per_call(monkeypatch):
