@@ -118,27 +118,46 @@ class ChernClasses(NamedTuple):
 
 
 def chern_classes_from_ch(d: int, ch: ChernVector) -> ChernClasses:
-    """Convert Chern-character numbers to Chern-class numbers (c1, c2.H, c3)."""
+    """Convert Chern-character numbers to Chern-class numbers (c1, c2.H, c3).
+
+    c2H = (c1^2 d - 2 ch2H) / 2 and c3 = (6 ch3 - c1^3 d + 3 c1 c2H) / 3, in
+    integers: with ch2H = u/v and ch3 = x/y, c2H = k/(2 v) for
+    k = c1^2 d v - 2 u, and c3 = (12 x v - 2 c1^3 d v y + 3 c1 y k) / (6 v y).
+    """
     check_degree(d)
     a = ch.c1
-    c2H = (a * a * d - 2 * ch.ch2H) / 2
-    c3 = (6 * ch.ch3 - a ** 3 * d + 3 * a * c2H) / 3
-    return ChernClasses(a, c2H, c3)
+    u, v = ch.ch2H.numerator, ch.ch2H.denominator
+    x, y = ch.ch3.numerator, ch.ch3.denominator
+    k = a * a * d * v - 2 * u
+    c3 = Fraction(12 * x * v - 2 * a ** 3 * d * v * y + 3 * a * y * k, 6 * v * y)
+    return ChernClasses(a, Fraction(k, 2 * v), c3)
 
 
 def ch_from_chern_classes(d: int, ch0: int, c1: int, c2H, c3) -> ChernVector:
-    """Inverse of chern_classes_from_ch at the given rank."""
+    """Inverse of chern_classes_from_ch at the given rank.
+
+    ch2H = (c1^2 d - 2 c2H) / 2 and ch3 = (c1^3 d - 3 c1 c2H + 3 c3) / 6, in
+    integers: with c2H = s/w and c3 = m/n, ch2H = (c1^2 d w - 2 s) / (2 w) and
+    ch3 = (c1^3 d w n - 3 c1 s n + 3 m w) / (6 w n).
+    """
     check_degree(d)
     exact_int(c1, "c1")
     c2H = exact_rational(c2H, "c2H")
-    ch2H = (c1 * c1 * d - 2 * c2H) / 2
-    ch3 = (c1 ** 3 * d - 3 * c1 * c2H + 3 * exact_rational(c3, "c3")) / 6
+    s, w = c2H.numerator, c2H.denominator
+    c3 = exact_rational(c3, "c3")
+    m, n = c3.numerator, c3.denominator
+    ch2H = Fraction(c1 * c1 * d * w - 2 * s, 2 * w)
+    ch3 = Fraction(c1 ** 3 * d * w * n - 3 * c1 * s * n + 3 * m * w, 6 * w * n)
     return ChernVector(ch0, c1, ch2H, ch3)
 
 
 def euler_characteristic(geom: PolarizedCY3, ch: ChernVector) -> Fraction:
-    """chi(E) on a Calabi-Yau threefold: ch3 + c1 * (c2(X).H) / 12."""
-    return ch.ch3 + Fraction(ch.c1 * geom.c2XH, 12)
+    """chi(E) on a Calabi-Yau threefold: ch3 + c1 * (c2(X).H) / 12.
+
+    In integers, with ch3 = u/v: (12 u + c1 c2XH v) / (12 v).
+    """
+    u, v = ch.ch3.numerator, ch.ch3.denominator
+    return Fraction(12 * u + ch.c1 * geom.c2XH * v, 12 * v)
 
 
 def is_integral(geom: PolarizedCY3, ch: ChernVector) -> bool:

@@ -38,7 +38,7 @@ from .geometry import (
     load_geometry_config,
 )
 from .rationals import format_rational, parse_int, parse_rational, to_jsonable
-from .stability import bg_discriminant, slope_mu, tilt_slope_nu
+from .stability import bg_discriminant, bg_ok, slope_mu, tilt_slope_nu
 
 EXIT_OK = 0
 EXIT_CONDITIONAL = 1
@@ -329,9 +329,8 @@ def build_eval_report(op: str, geom: PolarizedCY3 | None, ch: ChernVector, t) ->
         report["t"] = format_rational(t)
         report["value"] = to_jsonable(tilt_slope_nu(geom, ch, t))
     elif op == "bg":
-        value = bg_discriminant(geom, ch)
-        report["value"] = format_rational(value)
-        report["bg_ok"] = value >= 0
+        report["value"] = format_rational(bg_discriminant(geom, ch))
+        report["bg_ok"] = bg_ok(geom, ch)
     elif op == "ineq12":
         report.update(to_jsonable(check_ineq_1_2(ch)))
     return report
@@ -371,8 +370,6 @@ def cmd_eval(args) -> int:
             t = parse_rational(args.t)
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from None
-        if t <= 0:
-            raise ConfigError(f"--t must be positive, got {args.t}")
     _emit(args, build_eval_report(args.op, geom, ch, t), render_eval)
     return EXIT_OK
 

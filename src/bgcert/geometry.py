@@ -194,16 +194,26 @@ def geometry_from_config(data: Mapping) -> PolarizedCY3:
     return PolarizedCY3.derive(d, c2h, known)
 
 
+def _unique_keys(pairs) -> dict:
+    """(key, value) pairs as a dict, refusing a key given twice (a dict would keep the last)."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"field {key}: given more than once", field=key)
+        out[key] = value
+    return out
+
+
 def load_geometry_config(path) -> dict:
     """Read a UTF-8 config file, BOM allowed: a JSON object, or "key = value" lines.
 
     In the line format, blank lines and "#" comments are skipped and ":" is
-    accepted in place of "=".
+    accepted in place of "=". A key given twice is an error in either format.
     """
     with open(path, encoding="utf-8-sig") as file:
         text = file.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
         pass  # not JSON: read the line format below
     except RecursionError:
@@ -212,7 +222,7 @@ def load_geometry_config(path) -> dict:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path}: expected a JSON object")
         return data
-    out: dict = {}
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,6 +230,5 @@ def load_geometry_config(path) -> dict:
         sep = "=" if "=" in line else (":" if ":" in line else None)
         if sep is None:
             raise ConfigError(f"config {path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split(sep, 1))
-        out[key] = value
-    return out
+        pairs.append([part.strip() for part in line.split(sep, 1)])
+    return _unique_keys(pairs)

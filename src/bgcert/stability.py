@@ -38,14 +38,21 @@ def bg_ok(geom, ch: ChernVector) -> bool:
 
 
 def tilt_slope_nu(geom, ch: ChernVector, t) -> ExtendedRational:
-    """Tilt slope at scale t > 0; +inf when c1 = 0, an ordinary signed rational otherwise."""
+    """Tilt slope at scale t > 0; +inf when c1 = 0, an ordinary signed rational otherwise.
+
+    nu_t(ch) = (ch2H - t^2 d ch0 / 6) / (c1 t d), computed in integers: with
+    ch2H = a/b and t = p/q it is (6 a q^2 - b p^2 d ch0) / (6 b q p c1 d),
+    normalized once by Fraction.
+    """
     t = exact_rational(t, "t")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if ch.c1 == 0:
         return INFINITY
-    numerator = ch.ch2H - t * t * Fraction(geom.d * ch.ch0, 6)
-    return numerator / (ch.c1 * t * geom.d)
+    a, b = ch.ch2H.numerator, ch.ch2H.denominator
+    p, q = t.numerator, t.denominator
+    d = geom.d
+    return Fraction(6 * a * q * q - b * p * p * d * ch.ch0, 6 * b * q * p * ch.c1 * d)
 
 
 def nu_zero_tsq(geom, ch: ChernVector) -> Fraction:
@@ -72,7 +79,8 @@ def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> Sandwi
     checked on both sides all the same. Both ch2.H numbers are reported so
     the caller can confirm positivity on ordered inputs.
     """
-    left_ok = tilt_slope_nu(geom, -ch_sub, t) <= 0 or ch_sub.is_zero()
+    # nu is homogeneous of degree 0, so nu(-sub) = nu(sub) and no negated vector is built.
+    left_ok = tilt_slope_nu(geom, ch_sub, t) <= 0 or ch_sub.is_zero()
     right_ok = tilt_slope_nu(geom, ch_quot, t) >= 0 or ch_quot.is_zero()
     return SandwichReport(left_ok and right_ok, ch_sub.ch2H, ch_quot.ch2H)
 

@@ -97,3 +97,37 @@ def naive_lemma2_window(r):
         for k in range(1, s + 2)
         if Q(1, r) <= Q(k, s) <= Q(1, r - 1)
     )
+
+
+# --- Fraction-chain formulas, the references for the package's integer kernels --
+# Each is the formula as first written, one Fraction operation at a time. A class
+# is read only through its fields ch0, c1, ch2H and ch3.
+
+def fraction_tilt_slope_nu(d, ch, t):
+    """(ch2H - t^2 d ch0 / 6) / (c1 t d); None stands for +infinity (c1 = 0)."""
+    t = Q(t)
+    if ch.c1 == 0:
+        return None
+    numerator = ch.ch2H - t * t * Q(d * ch.ch0, 6)
+    return numerator / (ch.c1 * t * d)
+
+
+def fraction_chern_classes(d, ch):
+    """(c1, c2.H, c3) from (ch0, c1, ch2.H, ch3)."""
+    a = ch.c1
+    c2H = (a * a * d - 2 * ch.ch2H) / 2
+    c3 = (6 * ch.ch3 - a ** 3 * d + 3 * a * c2H) / 3
+    return a, c2H, c3
+
+
+def fraction_ch_from_classes(d, ch0, c1, c2H, c3):
+    """(ch0, c1, ch2.H, ch3) from the rank and (c1, c2.H, c3)."""
+    c2H = Q(c2H)
+    ch2H = (c1 * c1 * d - 2 * c2H) / 2
+    ch3 = (c1 ** 3 * d - 3 * c1 * c2H + 3 * Q(c3)) / 6
+    return ch0, c1, ch2H, ch3
+
+
+def fraction_euler_characteristic(c2XH, ch):
+    """chi = ch3 + c1 c2(X).H / 12."""
+    return ch.ch3 + Q(ch.c1 * c2XH, 12)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import exp_line_bundle, twist
+from _oracles import (
+    exp_line_bundle,
+    fraction_ch_from_classes,
+    fraction_chern_classes,
+    fraction_euler_characteristic,
+    twist,
+)
 from bgcert.chern import (
     ZERO,
     ChernVector,
@@ -21,7 +27,7 @@ from bgcert.chern import (
     triangle_ch,
 )
 from bgcert.errors import VirtualClassWarning
-from bgcert.geometry import from_preset
+from bgcert.geometry import PolarizedCY3, from_preset
 from bgcert.rationals import parse_rational, to_jsonable
 
 QUINTIC = from_preset("quintic")
@@ -34,6 +40,9 @@ vectors = st.builds(
     rationals,
     rationals,
 )
+degrees = st.integers(1, 60)
+# c2XH = 12 k - 2 d keeps chi(O(H)) = k an integer
+geometries = st.builds(lambda d, k: PolarizedCY3.derive(d, 12 * k - 2 * d), degrees, st.integers(1, 20))
 
 
 # --- constructors -------------------------------------------------------------
@@ -202,6 +211,23 @@ def test_conversion_round_trip(ch, d):
     assert ch_from_chern_classes(d, ch.ch0, c1, c2h, c3) == ch
 
 
+@given(degrees, vectors)
+def test_chern_classes_kernel_matches_fraction_oracle(d, ch):
+    got = chern_classes_from_ch(d, ch)
+    expected = fraction_chern_classes(d, ch)
+    assert tuple(got) == expected
+    assert [type(x) for x in got] == [type(x) for x in expected] == [int, Q, Q]
+
+
+@given(degrees, st.integers(-12, 12), st.integers(-12, 12),
+       st.one_of(st.integers(-50, 50), rationals), st.one_of(st.integers(-50, 50), rationals))
+def test_ch_from_classes_kernel_matches_fraction_oracle(d, ch0, c1, c2h, c3):
+    got = ch_from_chern_classes(d, ch0, c1, c2h, c3)
+    expected = fraction_ch_from_classes(d, ch0, c1, c2h, c3)
+    assert (got.ch0, got.c1, got.ch2H, got.ch3) == expected
+    assert [type(x) for x in (got.ch2H, got.ch3)] == [type(x) for x in expected[2:]] == [Q, Q]
+
+
 # --- integrality and Euler characteristic ----------------------------------------
 
 def test_is_integral_examples():
@@ -215,6 +241,13 @@ def test_euler_characteristic_values():
     assert euler_characteristic(QUINTIC, line_bundle_ch(5, 1)) == 5
     assert euler_characteristic(QUINTIC, ChernVector(1, 0, Q(0), Q(0))) == 0
     assert euler_characteristic(QUINTIC, ChernVector(1, 1, Q(5, 2), Q(0))) == Q(25, 6)
+
+
+@given(geometries, vectors)
+def test_euler_kernel_matches_fraction_oracle(geom, ch):
+    value = euler_characteristic(geom, ch)
+    expected = fraction_euler_characteristic(geom.c2XH, ch)
+    assert type(value) is type(expected) is Q and value == expected
 
 
 # --- denominators on the constructor image ---------------------------------------

@@ -285,6 +285,10 @@ def test_eval_bg(capsys):
     code, out, _ = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch", "3,1,1/2,0")
     assert code == 0
     assert out.strip() == "bg discriminant = 2 (bg_ok: pass)"
+    # O(H) sits on the Bogomolov-Gieseker boundary, which passes
+    code, out, _ = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch", "1,1,5/2,5/6")
+    assert code == 0
+    assert out == "bg discriminant = 0 (bg_ok: pass)\n"
 
 
 def test_eval_ineq12_no_geometry_needed(capsys):
@@ -326,6 +330,13 @@ def test_eval_nu_requires_t(capsys):
         capsys, "eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", "--t", "0"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("t", [["--t", "0"], ["--t=-1/2"]])
+def test_eval_nu_t_must_be_positive(capsys, t):
+    code, out, err = run(capsys, "eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", *t)
+    assert code == 3 and out == ""
+    assert "t must be positive" in err
 
 
 def test_eval_zero_rank_ineq(capsys):
@@ -399,9 +410,19 @@ def test_import_loads_no_code_generating_modules():
     (["geom"], "d = 5_0\nc2h = 50\n", 3, "field d: expected an integer, got '5_0'"),
     (["geom"], '{"d": 5, "c2h": "\\u0665\\u0660"}', 3,
      "field c2h: expected an integer, got '\u0665\u0660'"),
+    (["geom"], "d = 5\nc2h = 50\nd = 8\n", 3, "ConfigError: field d: given more than once"),
+    (["geom"], '{"d": 5, "c2h": 50, "d": 8}', 3, "ConfigError: field d: given more than once"),
+    (["geom", "--d", "5", "--c2h", "50", "--dimh", "5"], None, 3,
+     "InconsistentGeometry: field dimh = 5 contradicts d/6 + c2h/12 - 1 = 4"),
+    (["geom"], '{"d": 5, "c2h": 50, "dimh": 3}', 3,
+     "InconsistentGeometry: field dimh = 3 contradicts d/6 + c2h/12 - 1 = 4"),
+    (["geom"], '{"d": 5, "c2h": 50, "dimh": null}', 0,
+     "geometry custom: d = 5, c2(X).H = 50, dim|H| = 4, chi(O(H)) = 5"),
 ], ids=["odd-d-even-mode", "fractional-rank", "curve-bound-beta-0", "t-over-zero",
         "config-list", "config-null", "config-d-list", "curve-bound-underscore",
-        "config-line-underscore", "config-json-arabic-indic"])
+        "config-line-underscore", "config-json-arabic-indic", "config-line-duplicate",
+        "config-json-duplicate", "dimh-flag-contradicts", "config-dimh-contradicts",
+        "config-dimh-null"])
 def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, line):
     if config is not None:
         path = tmp_path / "geom.cfg"

@@ -239,3 +239,14 @@ def test_load_geometry_config_bad_line(tmp_path):
     path.write_text("d 5\n")
     with pytest.raises(ConfigError):
         load_geometry_config(path)
+
+
+@pytest.mark.parametrize("text", ["d = 5\nc2h = 50\nd = 8\n", '{"d": 5, "c2h": 50, "d": 8}'],
+                         ids=["lines", "json"])
+def test_load_geometry_config_refuses_a_repeated_key(tmp_path, text):
+    # Keeping the last value would read d = 8 from a file whose first line says 5.
+    path = tmp_path / "geom.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="field d: given more than once") as info:
+        load_geometry_config(path)
+    assert info.value.field == "d"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import naive_lemma1_window, naive_lemma2_window
+from _oracles import fraction_tilt_slope_nu, naive_lemma1_window, naive_lemma2_window
 from bgcert.chern import ZERO, ChernVector, extend_by_trivial, line_bundle_ch, quotient_by_trivial
 from bgcert.errors import NegativeRank, NoPositiveRoot, ZeroRank
 from bgcert.geometry import PolarizedCY3, from_preset
@@ -28,6 +28,9 @@ vectors = st.builds(
     ChernVector, st.integers(-10, 10), st.integers(-10, 10), rationals, rationals
 )
 positive_t = st.fractions(min_value=Q(1, 12), max_value=12, max_denominator=24)
+# every degree d; c2XH = 12 k - 2 d keeps chi(O(H)) = k an integer
+geometries = st.builds(lambda d, k: PolarizedCY3.derive(d, 12 * k - 2 * d),
+                       st.integers(1, 60), st.integers(1, 20))
 
 
 # --- extended rationals ---------------------------------------------------------
@@ -112,6 +115,7 @@ def test_bg_zero_on_line_bundles(d):
     geom = PolarizedCY3(d, 12 - 2 * d, 0)
     for n in range(-20, 21):
         assert bg_discriminant(geom, line_bundle_ch(d, n)) == 0
+        assert bg_ok(geom, line_bundle_ch(d, n))  # on the boundary, and still ok
 
 
 @given(vectors, st.integers(1, 10))
@@ -149,6 +153,8 @@ def test_nu_zero_tsq_examples():
     assert nu_zero_tsq(QUINTIC, ChernVector(2, 1, Q(5, 2), Q(0))) == Q(3, 2)
     with pytest.raises(NoPositiveRoot):
         nu_zero_tsq(QUINTIC, ChernVector(1, 1, Q(-1), Q(0)))
+    with pytest.raises(NoPositiveRoot):  # t^2 = 0 is no positive root
+        nu_zero_tsq(QUINTIC, ChernVector(1, 1, Q(0), Q(0)))
     with pytest.raises(ZeroRank):
         nu_zero_tsq(QUINTIC, ChernVector(0, 1, Q(1), Q(0)))
 
@@ -162,9 +168,21 @@ def test_nu_vanishes_exactly_at_its_root():
     assert tilt_slope_nu(QUINTIC, ch, 3) < 0
 
 
-@given(vectors, positive_t, st.integers(1, 8))
+@given(vectors, positive_t, st.integers(-8, 8).filter(bool))
 def test_nu_homogeneity_degree_zero(ch, t, k):
+    # k = -1 is what lets sandwich_check read nu(-sub) as nu(sub)
     assert tilt_slope_nu(QUINTIC, k * ch, t) == tilt_slope_nu(QUINTIC, ch, t)
+
+
+@given(geometries, vectors,
+       st.one_of(st.integers(1, 30), positive_t, st.builds(Q, st.integers(1, 500), st.integers(1, 500))))
+def test_nu_kernel_matches_fraction_oracle(geom, ch, t):
+    value = tilt_slope_nu(geom, ch, t)
+    expected = fraction_tilt_slope_nu(geom.d, ch, t)
+    if expected is None:
+        assert value is INFINITY
+    else:
+        assert type(value) is type(expected) is Q and value == expected
 
 
 @given(vectors, positive_t)
