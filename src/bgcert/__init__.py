@@ -12,7 +12,6 @@ from .certifier import (
     Certificate,
     HypothesisMode,
     Verdict,
-    affine_dominates,
     case1_check,
     case2_check,
     case3_bound,

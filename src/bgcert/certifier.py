@@ -48,7 +48,7 @@ class CastelnuovoStatus(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Affine comparisons (Case 1 runs over an unbounded length parameter).
+# Case 1: rank one, zero-dimensional subscheme of length l >= 0.
 
 
 class AffineFn(Record):
@@ -63,27 +63,6 @@ class AffineFn(Record):
         return self.slope * exact_rational(x, "x") + self.intercept
 
 
-def affine_dominates(f: AffineFn, g: AffineFn) -> bool:
-    """f(x) <= g(x) for every x >= 0; slope and intercept comparisons are exact and sufficient."""
-    return f.slope <= g.slope and f.intercept <= g.intercept
-
-
-def _integer_equality_points(f: AffineFn, g: AffineFn) -> tuple[int, ...]:
-    """Non-negative integers where two non-identical affine functions agree."""
-    if f.slope == g.slope:
-        if f.intercept == g.intercept:
-            raise ValueError("functions coincide everywhere")
-        return ()
-    x = (g.intercept - f.intercept) / (f.slope - g.slope)
-    if x >= 0 and x.denominator == 1:
-        return (int(x),)
-    return ()
-
-
-# ---------------------------------------------------------------------------
-# Case 1: rank one, zero-dimensional subscheme of length l >= 0.
-
-
 class Case1Reading(Record):
     __slots__ = ("rhs", "holds", "equality_lengths")
 
@@ -93,31 +72,28 @@ class Case1Trace(Record):
                  "equality_lengths", "equality_value")
 
 
+# The slopes in l of ch3 = d/6 - l and of the two readings of the right side.
+_LHS_SLOPE, _CONSTANT_SLOPE, _SLOPED_SLOPE = Fraction(-1), Fraction(0), Fraction(-1, 3)
+
+
 def case1_check(geom: PolarizedCY3) -> Case1Trace:
     """Compare ch3 = d/6 - l with the rank-one right side for every length l >= 0.
 
     Two readings of the right side are checked: the constant d/6 (points do
     not move ch2, the reading this package computes with) and the sloped
-    alternative d/6 - l/3. Both must agree that the bound holds with
-    equality exactly at l = 0, and the trace records each comparison.
+    alternative d/6 - l/3. All three lines start at d/6 and ch3 falls
+    fastest, so both readings hold for every l, with equality exactly at
+    l = 0, where the value is d/6. The trace records that closed form.
     """
     sixth = Fraction(geom.d, 6)
-    lhs = AffineFn(Fraction(-1), sixth)
-    readings = []
-    for slope in (Fraction(0), Fraction(-1, 3)):
-        rhs = AffineFn(slope, sixth)
-        readings.append(
-            Case1Reading(rhs, affine_dominates(lhs, rhs), _integer_equality_points(lhs, rhs))
-        )
-    constant, sloped = readings
-    equality = constant.equality_lengths
+    at_zero = (0,)
     return Case1Trace(
-        lhs=lhs,
-        constant_reading=constant,
-        sloped_reading=sloped,
-        holds_for_all_lengths=constant.holds and sloped.holds,
-        equality_lengths=equality,
-        equality_value=lhs(equality[0]),
+        AffineFn(_LHS_SLOPE, sixth),
+        Case1Reading(AffineFn(_CONSTANT_SLOPE, sixth), True, at_zero),
+        Case1Reading(AffineFn(_SLOPED_SLOPE, sixth), True, at_zero),
+        True,
+        at_zero,
+        sixth,
     )
 
 
@@ -148,8 +124,8 @@ def case2_check(
             chi, source = supplied[beta], "supplied"
         else:
             chi, source = default_chi_min(geom, beta), "default"
-        bound = Fraction(geom.d, 6) - beta - chi
-        rows.append(Case2Row(beta, chi, bound, bound <= 0, source))
+        numerator = geom.d - 6 * (beta + chi)  # 6 (d/6 - beta - chi)
+        rows.append(Case2Row(beta, chi, Fraction(numerator, 6), numerator <= 0, source))
     return rows
 
 
@@ -162,18 +138,26 @@ def ext1_cap(geom: PolarizedCY3, ch2H, ch0F: int) -> Fraction:
 
     A negative value means no such F exists and the configuration is
     impossible (the cap would contradict a dimension count being >= 0).
+    With ch2H = p/q, the cap is (d q - 2 p ch0F)/(2 p).
     """
     ch2H = exact_rational(ch2H, "ch2H")
-    if ch2H <= 0:
+    if ch2H.numerator <= 0:
         raise NonpositiveCh2H(f"ch2H must be positive, got {ch2H}")
     if exact_int(ch0F, "ch0F") < 2:
         raise ValueError(f"ch0F must be >= 2, got {ch0F}")
-    return Fraction(geom.d, 2) / ch2H - ch0F
+    p, q = ch2H.numerator, ch2H.denominator
+    return Fraction(geom.d * q - 2 * p * ch0F, 2 * p)
+
+
+def _bound_from_cap(geom: PolarizedCY3, cap: Fraction) -> Fraction:
+    """cap + d/6 - dim|H| - 1; with cap = a/b, (6a + b (d - 6 dim|H| - 6))/(6b)."""
+    a, b = cap.numerator, cap.denominator
+    return Fraction(6 * a + b * (geom.d - 6 * geom.dimH - 6), 6 * b)
 
 
 def case3_bound(geom: PolarizedCY3, ch2H, ch0F: int) -> Fraction:
     """Exact upper bound for ch3 in the higher-rank case: ext1_cap + d/6 - dim|H| - 1."""
-    return ext1_cap(geom, ch2H, ch0F) + Fraction(geom.d, 6) - geom.dimH - 1
+    return _bound_from_cap(geom, ext1_cap(geom, ch2H, ch0F))
 
 
 def min_positive_ch2H(d: int) -> Fraction:
@@ -197,9 +181,9 @@ class Case3Trace(Record):
 def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
     mch = min_positive_ch2H(geom.d)
     cap = ext1_cap(geom, mch, 2)
-    worst = case3_bound(geom, mch, 2)
-    impossible = cap < 0
-    return Case3Trace(mch, 2, cap, worst, impossible, impossible or worst <= 0)
+    worst = _bound_from_cap(geom, cap)
+    impossible = cap.numerator < 0
+    return Case3Trace(mch, 2, cap, worst, impossible, impossible or worst.numerator <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +243,9 @@ def candidate_rows(d: int) -> Iterator[tuple[int, int]]:
 
 
 def ch2H_by_c2H(d: int) -> Iterator[Fraction]:
-    """ch2H = d/2 - c2H for c2H = 0, 1, ... up to the largest a candidate can have."""
-    half = Fraction(d, 2)
-    return (half - c for c in range((d + 1) // 2))
+    """ch2H = d/2 - c2H, built as (d - 2 c2H)/2, for c2H = 0, 1, ... up to the largest a
+    candidate can have."""
+    return (Fraction(d - 2 * c, 2) for c in range((d + 1) // 2))
 
 
 def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:

@@ -378,10 +378,26 @@ def cmd_eval(args) -> int:
 # Entry points.
 
 
+# Options whose value may start with "-". argparse takes "-1,1,0,0" or "-1/2"
+# for an option name, since it is not a plain negative number, so such a value
+# is joined to its option as "--ch=-1,1,0,0" before parsing.
+_SIGNED_VALUE_OPTIONS = ("--ch", "--t")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is taken by HYPOTHESIS_FAIL.
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG

@@ -9,7 +9,6 @@ safe to share between workers.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -108,31 +107,31 @@ def from_preset(name: str) -> PolarizedCY3:
 
 
 def full_threshold(d: int) -> Fraction:
-    """The bound 7d/6 - 3 that the linear-system hypothesis puts on dim|H|."""
+    """The bound 7d/6 - 3 = (7d - 18)/6 that the linear-system hypothesis puts on dim|H|."""
     check_degree(d)
-    return Fraction(7 * d, 6) - 3
+    return Fraction(7 * d - 18, 6)
 
 
 def even_threshold(d: int) -> Fraction:
-    """The bound 2d/3 - 3 of the even-degree variant of the hypothesis."""
+    """The bound 2d/3 - 3 = (2d - 9)/3 of the even-degree variant of the hypothesis."""
     check_degree(d)
-    return Fraction(2 * d, 3) - 3
+    return Fraction(2 * d - 9, 3)
 
 
 def check_h_assumption(geom: PolarizedCY3) -> bool:
-    """Linear-system hypothesis dim|H| >= 7d/6 - 3."""
-    return geom.dimH >= full_threshold(geom.d)
+    """Linear-system hypothesis dim|H| >= 7d/6 - 3, in integers: 6 dim|H| >= 7d - 18."""
+    return 6 * geom.dimH >= 7 * geom.d - 18
 
 
 def check_h_assumption_even(geom: PolarizedCY3) -> bool:
-    """Weakened hypothesis dim|H| >= 2d/3 - 3, valid only for even d.
+    """Weakened hypothesis dim|H| >= 2d/3 - 3, in integers 3 dim|H| >= 2d - 9; even d only.
 
     For even d the minimal positive ch2.H doubles to 1, which is what
     justifies the weaker threshold; odd degrees are rejected.
     """
     if geom.d % 2 != 0:
         raise OddDegree(f"even-degree variant needs even H^3, got d = {geom.d}")
-    return geom.dimH >= even_threshold(geom.d)
+    return 3 * geom.dimH >= 2 * geom.d - 9
 
 
 def castelnuovo_range(geom: PolarizedCY3) -> list[int]:
@@ -141,17 +140,20 @@ def castelnuovo_range(geom: PolarizedCY3) -> list[int]:
 
 
 def castelnuovo_check(geom: PolarizedCY3, bound: CurveBound) -> bool:
-    """Whether chi_min >= d/6 - beta holds for the given curve degree."""
+    """Whether chi_min >= d/6 - beta, in integers 6 (chi_min + beta) >= d, holds."""
     if not 1 <= bound.beta < (geom.d + 1) // 2:
         raise BetaOutOfRange(
             f"beta = {bound.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
         )
-    return bound.chi_min >= Fraction(geom.d, 6) - bound.beta
+    return 6 * (bound.chi_min + bound.beta) >= geom.d
 
 
 def default_chi_min(geom: PolarizedCY3, beta: int) -> int:
-    """Weakest chi(O_C) floor compatible with the curve hypothesis: ceil(d/6 - beta)."""
-    return math.ceil(Fraction(geom.d, 6) - exact_int(beta, "beta"))
+    """Weakest chi(O_C) floor compatible with the curve hypothesis: ceil(d/6 - beta).
+
+    In integers, ceil(d/6 - beta) = -floor((6 beta - d)/6).
+    """
+    return -((6 * exact_int(beta, "beta") - geom.d) // 6)
 
 
 # ---------------------------------------------------------------------------

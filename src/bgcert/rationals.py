@@ -94,21 +94,29 @@ class Record:
 
     def __init__(self, *values, **named):
         names = self.__slots__
+        if named or len(values) != len(names):  # every field by position needs no check
+            values = self._all_values(values, named)
+        setfield = object.__setattr__
+        for name, value in zip(names, values):
+            setfield(self, name, value)
+
+    @classmethod
+    def _all_values(cls, values: tuple, named: dict) -> tuple:
+        """Every field's value in declaration order, from the positional and the named
+        ones; a TypeError naming the record for a missing, extra, unknown or doubled field."""
+        names = cls.__slots__
         rest = names[len(values):]
         if len(values) > len(names):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields "
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} fields "
                             f"({', '.join(names)}) but {len(values)} values were given")
         for name in named:
             if name not in rest:
                 problem = "multiple values for" if name in names else "an unexpected"
-                raise TypeError(f"{type(self).__qualname__}() got {problem} field {name!r}")
-        setfield = object.__setattr__
-        for name, value in zip(names, values):
-            setfield(self, name, value)
+                raise TypeError(f"{cls.__qualname__}() got {problem} field {name!r}")
         for name in rest:
             if name not in named:
-                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
-            setfield(self, name, named[name])
+                raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+        return values + tuple([named[name] for name in rest])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -144,11 +152,13 @@ def _converter(cls: type) -> Callable:
         return lambda value: "+inf"
     if issubclass(cls, Enum):
         return attrgetter("value")
+    # Containers convert their items directly, one converter lookup per node.
     if issubclass(cls, (tuple, list)):
-        return lambda value: [to_jsonable(item) for item in value]
+        return lambda value: [_converter(type(item))(item) for item in value]
     if issubclass(cls, Record):
         names = cls.__slots__
-        return lambda value: {name: to_jsonable(getattr(value, name)) for name in names}
+        return lambda value: {name: _converter(type(v := getattr(value, name)))(v)
+                              for name in names}
     return lambda value: value  # int, bool, str, None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
+from bgcert.certifier import AffineFn, Case1Reading, Case1Trace
 from bgcert.chern import ChernVector
 
 
@@ -131,3 +132,98 @@ def fraction_ch_from_classes(d, ch0, c1, c2H, c3):
 def fraction_euler_characteristic(c2XH, ch):
     """chi = ch3 + c1 c2(X).H / 12."""
     return ch.ch3 + Q(ch.c1 * c2XH, 12)
+
+
+# --- the case analysis as first written: Fraction chains and the affine scan --------
+# References for the certifier's integer and closed forms. A geometry is read
+# only through its fields d and dimH.
+
+def fraction_full_threshold(d):
+    """7d/6 - 3."""
+    return Q(7 * d, 6) - 3
+
+
+def fraction_even_threshold(d):
+    """2d/3 - 3."""
+    return Q(2 * d, 3) - 3
+
+
+def fraction_check_h_assumption(geom):
+    return geom.dimH >= fraction_full_threshold(geom.d)
+
+
+def fraction_check_h_assumption_even(geom):
+    return geom.dimH >= fraction_even_threshold(geom.d)
+
+
+def fraction_default_chi_min(geom, beta):
+    """ceil(d/6 - beta)."""
+    return math.ceil(Q(geom.d, 6) - beta)
+
+
+def fraction_castelnuovo_check(geom, beta, chi_min):
+    """chi_min >= d/6 - beta."""
+    return chi_min >= Q(geom.d, 6) - beta
+
+
+def fraction_case2_row(geom, beta, chi):
+    """(ch3 bound d/6 - beta - chi, whether it is <= 0)."""
+    bound = Q(geom.d, 6) - beta - chi
+    return bound, bound <= 0
+
+
+def fraction_ext1_cap(geom, ch2H, ch0F):
+    """d/(2 ch2H) - ch0F."""
+    return Q(geom.d, 2) / ch2H - ch0F
+
+
+def fraction_case3_bound(geom, ch2H, ch0F):
+    """ext1_cap + d/6 - dim|H| - 1."""
+    return fraction_ext1_cap(geom, ch2H, ch0F) + Q(geom.d, 6) - geom.dimH - 1
+
+
+def fraction_case3_trace(geom):
+    """The Case 3 trace's fields at ch0F = 2 and the smallest positive ch2H (1/2 or 1)."""
+    ch2H = Q(1, 2) if geom.d % 2 else Q(1)
+    cap, worst = fraction_ext1_cap(geom, ch2H, 2), fraction_case3_bound(geom, ch2H, 2)
+    return ch2H, 2, cap, worst, cap < 0, cap < 0 or worst <= 0
+
+
+def fraction_ch2H_by_c2H(d):
+    """d/2 - c2H for c2H = 0 .. ceil(d/2) - 1, as a generator."""
+    half = Q(d, 2)
+    return (half - c for c in range((d + 1) // 2))
+
+
+def affine_dominates(f, g):
+    """f(x) <= g(x) for every x >= 0; slope and intercept comparisons are exact and sufficient."""
+    return f.slope <= g.slope and f.intercept <= g.intercept
+
+
+def integer_equality_points(f, g):
+    """Non-negative integers where two affine functions of different slopes agree."""
+    x = (g.intercept - f.intercept) / (f.slope - g.slope)
+    if x >= 0 and x.denominator == 1:
+        return (int(x),)
+    return ()
+
+
+def scan_case1_trace(d):
+    """Case 1 built by comparing ch3 = d/6 - l with each reading of the right side."""
+    sixth = Q(d, 6)
+    lhs = AffineFn(Q(-1), sixth)
+    readings = []
+    for slope in (Q(0), Q(-1, 3)):
+        rhs = AffineFn(slope, sixth)
+        equality = integer_equality_points(lhs, rhs)
+        readings.append(Case1Reading(rhs, affine_dominates(lhs, rhs), equality))
+    constant, sloped = readings
+    equality = constant.equality_lengths
+    return Case1Trace(
+        lhs=lhs,
+        constant_reading=constant,
+        sloped_reading=sloped,
+        holds_for_all_lengths=constant.holds and sloped.holds,
+        equality_lengths=equality,
+        equality_value=lhs(equality[0]),
+    )

@@ -1,24 +1,37 @@
 import json
+import math
 from fractions import Fraction as Q
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import naive_candidates
+from _oracles import (
+    affine_dominates,
+    fraction_case2_row,
+    fraction_case3_bound,
+    fraction_case3_trace,
+    fraction_ch2H_by_c2H,
+    fraction_ext1_cap,
+    naive_candidates,
+    scan_case1_trace,
+)
 from bgcert.certifier import (
     AffineFn,
     Candidate,
+    Case3Trace,
     CastelnuovoStatus,
     HypothesisMode,
     MAX_CANDIDATES,
     Verdict,
-    affine_dominates,
+    _case3_trace,
     candidate_count,
     case1_check,
     case2_check,
     case3_bound,
     certificate_to_jsonable,
+    ch2H_by_c2H,
     certify_theorem,
     check_ineq_1_2,
     enumerate_candidates,
@@ -50,7 +63,7 @@ geometries = st.builds(
 )
 
 
-# --- affine comparisons -----------------------------------------------------------
+# --- affine comparisons (the scan Case 1 was first computed with) -------------------
 
 def test_affine_dominates_examples():
     f = AffineFn(Q(-1), Q(5, 6))
@@ -81,6 +94,13 @@ def test_case1_degree_twelve():
     assert trace.holds_for_all_lengths
     assert trace.equality_lengths == (0,)
     assert trace.equality_value == Q(2)
+
+
+def test_case1_closed_form_matches_the_scan():
+    # The scan compares the affine functions; the closed form states the result.
+    for d in range(1, 2001):
+        closed, scanned = case1_check(PolarizedCY3(d, 12 - 2 * d, 0)), scan_case1_trace(d)
+        assert closed == scanned and repr(closed) == repr(scanned)  # repr: same types too
 
 
 @pytest.mark.parametrize("length", range(0, 101))
@@ -149,6 +169,31 @@ def test_case2_default_bounds_never_positive(geom):
     assert all(row.ch3_bound <= 0 and row.ok for row in case2_check(geom))
 
 
+@st.composite
+def supplied_bounds(draw):
+    """A geometry with 3 <= d <= 3000 and curve bounds at some of its degrees, with any
+    chi_min or one next to the default floor, where a row's verdict turns.
+
+    case2_check builds a row for each of the d/2 degrees, which bounds d here.
+    """
+    d = draw(st.integers(3, 3000))
+    bounds = []
+    for beta in draw(st.lists(st.integers(1, (d + 1) // 2 - 1), max_size=6)):
+        floor = math.ceil(Q(d, 6) - beta)  # the default chi_min
+        chi = draw(st.integers(floor - 2, floor + 2) | st.integers(-d, d))
+        bounds.append(CurveBound(beta, chi))
+    return PolarizedCY3(d, 12 - 2 * d, 0), bounds
+
+
+@given(supplied_bounds())
+def test_case2_rows_match_fraction_oracle(case):
+    geom, bounds = case
+    for row in case2_check(geom, bounds):
+        bound, ok = fraction_case2_row(geom, row.beta, row.chi_min)
+        assert type(row.ch3_bound) is Q and row.ch3_bound == bound
+        assert row.ok is ok
+
+
 # --- Case 3 ------------------------------------------------------------------------
 
 def test_ext1_cap_examples():
@@ -184,6 +229,55 @@ def test_worst_case3_bounds():
     assert worst_case3_bound(QUINTIC) == Q(-7, 6)
     assert worst_case3_bound(CI24) == Q(-8, 3)
     assert worst_case3_bound(CI223) == Q(-1)
+
+
+positive_ch2H = st.integers(1, 10**6) | st.fractions(min_value=Q(1, 10**6), max_value=10**6)
+large_geometries = st.builds(
+    lambda d, chi: PolarizedCY3(d, 12 * chi - 2 * d, chi - 1),
+    st.integers(1, 10**6),
+    st.integers(1, 2 * 10**6),
+)
+
+
+@given(large_geometries, positive_ch2H, st.integers(2, 10**6))
+def test_case3_forms_match_fraction_oracle(geom, ch2H, ch0F):
+    for got, expected in ((ext1_cap(geom, ch2H, ch0F), fraction_ext1_cap(geom, ch2H, ch0F)),
+                          (case3_bound(geom, ch2H, ch0F), fraction_case3_bound(geom, ch2H, ch0F))):
+        assert type(got) is type(expected) is Q and got == expected
+
+
+def _near_worst_case3(d, k):
+    """The geometry of degree d whose worst Case 3 bound is closest to k from below."""
+    threshold = Q(7 * d, 6) if d % 2 else Q(2 * d, 3)  # worst bound = threshold - dim|H| - 3
+    dimH = max(0, math.ceil(threshold - 3 - k))
+    return PolarizedCY3(d, 12 * (dimH + 1) - 2 * d, dimH)
+
+
+@given(large_geometries | st.builds(_near_worst_case3, st.integers(1, 10**6), st.integers(-2, 2)))
+def test_case3_trace_matches_fraction_oracle(geom):
+    trace = _case3_trace(geom)
+    expected = fraction_case3_trace(geom)
+    fields = [getattr(trace, name) for name in trace.__slots__]
+    assert tuple(fields) == expected
+    assert [type(value) for value in fields] == [type(value) for value in expected]
+
+
+def test_case3_trace_at_its_boundaries():
+    # The cap is 0 (possible) at d = 4; the worst bound is 0, then 1/3 and 1 just above it.
+    for d in range(1, 301):
+        for k in (-1, 0, 1):
+            geom = _near_worst_case3(d, k)
+            assert _case3_trace(geom) == Case3Trace(*fraction_case3_trace(geom))
+    trace = _case3_trace(PolarizedCY3.derive(4, 40))
+    assert trace.ext1_cap == 0 and not trace.impossible
+
+
+@given(st.integers(1, 10**6) | st.integers(1, 4000))
+def test_ch2H_by_c2H_matches_fraction_oracle(d):
+    # The first 2000 values: the whole sequence below d = 4000.
+    got = list(islice(ch2H_by_c2H(d), 2000))
+    assert got == list(islice(fraction_ch2H_by_c2H(d), 2000))
+    assert all(type(value) is Q for value in got)
 
 
 @given(geometries)

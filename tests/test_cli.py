@@ -332,11 +332,18 @@ def test_eval_nu_requires_t(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("t", [["--t", "0"], ["--t=-1/2"]])
+@pytest.mark.parametrize("t", [["--t", "0"], ["--t=-1/2"], ["--t", "-1/2"]])
 def test_eval_nu_t_must_be_positive(capsys, t):
     code, out, err = run(capsys, "eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", *t)
     assert code == 3 and out == ""
     assert "t must be positive" in err
+
+
+def test_eval_ch_takes_a_negative_value_after_a_space(capsys):
+    # "-1,1,0,0" is not a plain negative number, so argparse alone reads it as an option name.
+    spaced = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch", "-1,1,0,0")
+    joined = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch=-1,1,0,0")
+    assert spaced == joined == (0, "bg discriminant = 5 (bg_ok: pass)\n", "")
 
 
 def test_eval_zero_rank_ineq(capsys):
@@ -552,8 +559,14 @@ _EXTRAS = {
             st.lists(_RATIONALS, max_size=5).map(",".join),
         ),
         _weighted(st.builds("{}/{}".format, _POSITIVE, _POSITIVE), st.none() | _RATIONALS),
-    ).map(lambda t: ["--op", t[0], "--ch=" + t[1]] + ([] if t[2] is None else ["--t=" + t[2]])),
+        st.booleans(),  # a value after "=" or as the next word
+    ).map(lambda t: ["--op", t[0], *_option("--ch", t[1], t[3])]
+          + ([] if t[2] is None else _option("--t", t[2], t[3]))),
 }
+
+
+def _option(name, value, spaced):
+    return [name, value] if spaced else [f"{name}={value}"]
 
 
 @st.composite

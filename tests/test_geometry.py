@@ -1,12 +1,21 @@
 from fractions import Fraction as Q
 
 import codecs
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import ci_chern_numbers
+from _oracles import (
+    ci_chern_numbers,
+    fraction_castelnuovo_check,
+    fraction_check_h_assumption,
+    fraction_check_h_assumption_even,
+    fraction_default_chi_min,
+    fraction_even_threshold,
+    fraction_full_threshold,
+)
 from bgcert.certifier import min_positive_ch2H
 from bgcert.chern import line_bundle_ch
 from bgcert.errors import (
@@ -145,6 +154,36 @@ def test_h_assumption_even_table():
         check_h_assumption_even(from_preset("quintic"))
 
 
+# Geometries up to d = 10**6, anywhere and with dim|H| next to either threshold.
+large_geometries = st.builds(
+    lambda d, chi: PolarizedCY3(d, 12 * chi - 2 * d, chi - 1),
+    st.integers(1, 10**6),
+    st.integers(1, 2 * 10**6),
+)
+
+
+def _near_threshold(d, k, even):
+    """The geometry of degree d with dim|H| = k + the smallest dim|H| that passes a threshold."""
+    threshold = fraction_even_threshold(d) if even else fraction_full_threshold(d)
+    dimH = max(0, math.ceil(threshold) + k)
+    return PolarizedCY3(d, 12 * (dimH + 1) - 2 * d, dimH)  # any dim|H| >= 0 has this geometry
+
+
+near_thresholds = st.builds(
+    _near_threshold, st.integers(1, 10**6), st.integers(-2, 2), st.booleans()
+)
+
+
+@given(large_geometries | near_thresholds)
+def test_hypothesis_forms_match_fraction_oracle(geom):
+    for got, expected in ((full_threshold(geom.d), fraction_full_threshold(geom.d)),
+                          (even_threshold(geom.d), fraction_even_threshold(geom.d))):
+        assert type(got) is type(expected) is Q and got == expected
+    assert check_h_assumption(geom) is fraction_check_h_assumption(geom)
+    if geom.d % 2 == 0:
+        assert check_h_assumption_even(geom) is fraction_check_h_assumption_even(geom)
+
+
 # --- castelnuovo range and check ----------------------------------------------------
 
 def test_castelnuovo_range_examples():
@@ -176,6 +215,22 @@ def test_default_chi_min_is_smallest_passing_integer(geom):
         chi = default_chi_min(geom, beta)
         assert castelnuovo_check(geom, CurveBound(beta, chi))
         assert not castelnuovo_check(geom, CurveBound(beta, chi - 1))
+
+
+@given(large_geometries, st.integers(-10**6, 10**6))
+def test_default_chi_min_matches_fraction_oracle(geom, beta):
+    got, expected = default_chi_min(geom, beta), fraction_default_chi_min(geom, beta)
+    assert type(got) is type(expected) is int and got == expected
+
+
+@given(st.integers(3, 10**6), st.data())
+def test_castelnuovo_check_matches_fraction_oracle(d, data):
+    geom = PolarizedCY3(d, 12 - 2 * d, 0)
+    beta = data.draw(st.integers(1, (d + 1) // 2 - 1))
+    floor = fraction_default_chi_min(geom, beta)  # near it the verdict turns
+    chi = data.draw(st.integers(floor - 2, floor + 2) | st.integers(-10**6, 10**6))
+    expected = fraction_castelnuovo_check(geom, beta, chi)
+    assert castelnuovo_check(geom, CurveBound(beta, chi)) is expected
 
 
 def test_curve_bound_validation():

@@ -196,3 +196,32 @@ def test_only_record_init_writes_a_field():
             lines = [n for n in lines if not record.lineno <= n <= record.end_lineno]
         found += [f"{path.name}:{n}" for n in lines]
     assert found == []
+
+
+@pytest.mark.parametrize("make, text, keys", RECORDS)
+def test_positional_keyword_and_mixed_builds_agree(make, text, keys):
+    # All by position takes Record.__init__'s fast path; any keyword takes the checked one.
+    record = make()
+    cls = type(record)
+    names, values = cls.__slots__, [getattr(record, name) for name in cls.__slots__]
+    builds = [cls(*values[:k], **dict(zip(names[k:], values[k:]))) for k in range(len(names) + 1)]
+    for built in builds:
+        assert built == record and hash(built) == hash(record) and repr(built) == text
+
+
+def test_record_init_messages():
+    row = (1, 0, Q(-1, 6), True, "default")
+    too_many = ("Case2Row() takes 5 fields (beta, chi_min, ch3_bound, ok, source) "
+                "but 6 values were given")
+    cases = [
+        ((*row, None), {}, too_many),
+        (row[:4], {}, "Case2Row() missing field 'source'"),
+        ((), {}, "Case2Row() missing field 'beta'"),
+        (row, {"colour": None}, "Case2Row() got an unexpected field 'colour'"),
+        (row[:4], {"beta": 1}, "Case2Row() got multiple values for field 'beta'"),
+        ((*row, None), {"colour": None}, too_many),
+    ]
+    for values, named, message in cases:
+        with pytest.raises(TypeError) as info:
+            certifier.Case2Row(*values, **named)
+        assert str(info.value) == message

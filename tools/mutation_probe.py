@@ -4,8 +4,9 @@
         -- tests/test_stability.py tests/test_chern.py
 
 Each mutant changes one token on one of the named lines: a binary `+` and
-`-` trade places, `*` and `//` trade places, and an integer constant moves
-by +1 and by -1. For each mutant the named tests run with `pytest -x` in a
+`-` trade places, `*` and `//` trade places, a comparison gains or loses its
+equality (`<` and `<=`, `>` and `>=` trade places), and an integer constant
+moves by +1 and by -1. For each mutant the named tests run with `pytest -x` in a
 copy of the checkout (`src/`, `tests/`, `pyproject.toml`) under the system
 temporary directory, two copies at a time. A mutant is killed when pytest
 exits non-zero. The survivors are printed with their line; the last line is
@@ -23,7 +24,7 @@ import tempfile
 import tokenize
 from concurrent.futures import ThreadPoolExecutor
 
-SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*"}
+SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 WORKERS = 2
 
 
