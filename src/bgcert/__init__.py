@@ -21,7 +21,6 @@ from .certifier import (
     enumerate_candidates,
     ext1_cap,
     min_positive_ch2H,
-    worst_case3_bound,
 )
 from .chern import (
     ChernVector,
@@ -41,10 +40,7 @@ from .errors import BgcertError, VirtualClassWarning
 from .geometry import (
     CurveBound,
     PolarizedCY3,
-    castelnuovo_check,
     castelnuovo_range,
-    check_h_assumption,
-    check_h_assumption_even,
     default_chi_min,
     derive_dimH,
     from_preset,

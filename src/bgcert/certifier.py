@@ -14,15 +14,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .chern import ChernVector
-from .errors import NonpositiveCh2H, TooManyCandidates, ZeroRank
+from .errors import BetaOutOfRange, NonpositiveCh2H, TooManyCandidates, ZeroRank
 from .geometry import (
     CurveBound,
     PolarizedCY3,
-    castelnuovo_check,
     castelnuovo_range,
     check_degree,
-    check_h_assumption,
-    check_h_assumption_even,
     default_chi_min,
     even_threshold,
     full_threshold,
@@ -116,7 +113,10 @@ def case2_check(
     """
     supplied: dict[int, int] = {}
     for cb in bounds or ():
-        castelnuovo_check(geom, cb)  # BetaOutOfRange outside castelnuovo_range
+        if not 1 <= cb.beta < (geom.d + 1) // 2:  # outside castelnuovo_range
+            raise BetaOutOfRange(
+                f"beta = {cb.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
+            )
         supplied[cb.beta] = min(cb.chi_min, supplied.get(cb.beta, cb.chi_min))
     rows = []
     for beta in castelnuovo_range(geom):
@@ -164,14 +164,6 @@ def min_positive_ch2H(d: int) -> Fraction:
     """Smallest positive ch2.H at c1 = H with integral c2.H: 1/2 for odd d, 1 for even."""
     check_degree(d)
     return Fraction(1, 2) if d % 2 else Fraction(1)
-
-
-def worst_case3_bound(geom: PolarizedCY3) -> Fraction:
-    """case3_bound at the extremal slot ch0F = 2, ch2H minimal positive.
-
-    Closed form: 7d/6 - dim|H| - 3 for odd d and 2d/3 - dim|H| - 3 for even d.
-    """
-    return case3_bound(geom, min_positive_ch2H(geom.d), 2)
 
 
 class Case3Trace(Record):
@@ -293,13 +285,17 @@ certificate_to_jsonable = to_jsonable
 
 
 def hypothesis_checks(geom: PolarizedCY3) -> tuple[HypothesisCheck, HypothesisCheck]:
-    """The FULL and the EVEN check; the even variant applies, and can hold, only for even d."""
+    """The FULL and the EVEN check; the even variant applies, and can hold, only for even d.
+
+    A check holds when dim|H| >= its threshold t, in integers t.numerator <= t.denominator dim|H|.
+    """
+    full, even = full_threshold(geom.d), even_threshold(geom.d)
     even_applicable = geom.d % 2 == 0
     return (
-        HypothesisCheck(HypothesisMode.FULL, True, geom.dimH, full_threshold(geom.d),
-                        check_h_assumption(geom)),
-        HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, even_threshold(geom.d),
-                        even_applicable and check_h_assumption_even(geom)),
+        HypothesisCheck(HypothesisMode.FULL, True, geom.dimH, full,
+                        full.numerator <= full.denominator * geom.dimH),
+        HypothesisCheck(HypothesisMode.EVEN, even_applicable, geom.dimH, even,
+                        even_applicable and even.numerator <= even.denominator * geom.dimH),
     )
 
 

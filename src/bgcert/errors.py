@@ -23,10 +23,6 @@ class InconsistentGeometry(BgcertError):
     """An explicitly supplied dim|H| contradicts the Riemann-Roch identity."""
 
 
-class OddDegree(BgcertError):
-    """The even-degree hypothesis variant was asked of an odd-degree geometry."""
-
-
 class BetaOutOfRange(BgcertError):
     """Curve degree beta falls outside 1 <= beta < d/2."""
 

@@ -1,9 +1,8 @@
-"""Polarized Calabi-Yau threefold records, presets, and hypothesis predicates.
+"""Polarized Calabi-Yau threefold records, presets, hypothesis thresholds and config files.
 
 A geometry is the triple (d, c2XH, dimH) = (H^3, c2(X).H, dim|H|) together
 with a flag saying whether the curve-count hypothesis is asserted for it.
-Records are immutable and the predicates are pure, so everything here is
-safe to share between workers.
+The certifier decides both hypotheses from the thresholds and ranges here.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
-    BetaOutOfRange,
     ConfigError,
     InconsistentGeometry,
     NegativeLinearSystem,
     NonIntegralGeometry,
-    OddDegree,
     UnknownPreset,
 )
 from .rationals import Record, exact_int, parse_int
@@ -118,34 +115,9 @@ def even_threshold(d: int) -> Fraction:
     return Fraction(2 * d - 9, 3)
 
 
-def check_h_assumption(geom: PolarizedCY3) -> bool:
-    """Linear-system hypothesis dim|H| >= 7d/6 - 3, in integers: 6 dim|H| >= 7d - 18."""
-    return 6 * geom.dimH >= 7 * geom.d - 18
-
-
-def check_h_assumption_even(geom: PolarizedCY3) -> bool:
-    """Weakened hypothesis dim|H| >= 2d/3 - 3, in integers 3 dim|H| >= 2d - 9; even d only.
-
-    For even d the minimal positive ch2.H doubles to 1, which is what
-    justifies the weaker threshold; odd degrees are rejected.
-    """
-    if geom.d % 2 != 0:
-        raise OddDegree(f"even-degree variant needs even H^3, got d = {geom.d}")
-    return 3 * geom.dimH >= 2 * geom.d - 9
-
-
 def castelnuovo_range(geom: PolarizedCY3) -> list[int]:
     """Curve degrees the curve-count hypothesis quantifies over: 1 <= beta < d/2."""
     return list(range(1, (geom.d + 1) // 2))
-
-
-def castelnuovo_check(geom: PolarizedCY3, bound: CurveBound) -> bool:
-    """Whether chi_min >= d/6 - beta, in integers 6 (chi_min + beta) >= d, holds."""
-    if not 1 <= bound.beta < (geom.d + 1) // 2:
-        raise BetaOutOfRange(
-            f"beta = {bound.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
-        )
-    return 6 * (bound.chi_min + bound.beta) >= geom.d
 
 
 def default_chi_min(geom: PolarizedCY3, beta: int) -> int:

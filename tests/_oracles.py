@@ -161,11 +161,6 @@ def fraction_default_chi_min(geom, beta):
     return math.ceil(Q(geom.d, 6) - beta)
 
 
-def fraction_castelnuovo_check(geom, beta, chi_min):
-    """chi_min >= d/6 - beta."""
-    return chi_min >= Q(geom.d, 6) - beta
-
-
 def fraction_case2_row(geom, beta, chi):
     """(ch3 bound d/6 - beta - chi, whether it is <= 0)."""
     bound = Q(geom.d, 6) - beta - chi

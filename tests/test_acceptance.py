@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import bgcert
-from bgcert.certifier import ext1_cap
+from bgcert.certifier import ext1_cap, hypothesis_checks
 from bgcert.chern import (
     ChernVector,
     dual_ch,
@@ -27,12 +27,7 @@ from bgcert.chern import (
     quotient_by_trivial,
 )
 from bgcert.cli import main
-from bgcert.geometry import (
-    PolarizedCY3,
-    check_h_assumption,
-    check_h_assumption_even,
-    from_preset,
-)
+from bgcert.geometry import PolarizedCY3, from_preset
 from bgcert.stability import bg_discriminant, lemma1_slope_window, lemma2_slope_window, tilt_slope_nu
 
 from _oracles import naive_candidates
@@ -87,13 +82,13 @@ def test_criterion_2_quintic_certification(capsys):
 def test_criterion_3_hypothesis_table():
     with criterion("3: hypothesis table for quintic / ci24 / ci223, exact"):
         quintic, ci24, ci223 = from_preset("quintic"), from_preset("ci24"), from_preset("ci223")
-        assert check_h_assumption(quintic)
+        assert hypothesis_checks(quintic)[0].holds
         assert Q(quintic.dimH) >= Q(17, 6)
-        assert not check_h_assumption(ci24)
+        assert not hypothesis_checks(ci24)[0].holds
         assert Q(ci24.dimH) < Q(19, 3)
-        assert check_h_assumption_even(ci24)
+        assert hypothesis_checks(ci24)[1].holds
         assert Q(ci24.dimH) >= Q(7, 3)
-        assert check_h_assumption_even(ci223)
+        assert hypothesis_checks(ci223)[1].holds
         assert Q(ci223.dimH) >= Q(5)
 
 

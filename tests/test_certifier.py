@@ -37,14 +37,12 @@ from bgcert.certifier import (
     enumerate_candidates,
     ext1_cap,
     min_positive_ch2H,
-    worst_case3_bound,
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
 from bgcert.errors import BetaOutOfRange, NonpositiveCh2H, TooManyCandidates, ZeroRank
 from bgcert.geometry import (
     CurveBound,
     PolarizedCY3,
-    castelnuovo_check,
     castelnuovo_range,
     default_chi_min,
     from_preset,
@@ -142,7 +140,7 @@ def test_case2_rejects_out_of_range_beta():
 
 
 def test_curve_range_error_has_one_home():
-    # case2_check rejects exactly the degrees castelnuovo_check rejects, with its message.
+    # case2_check accepts exactly the degrees of castelnuovo_range and names the others.
     for d in range(1, 41):
         geom = PolarizedCY3(d, 12 - 2 * d, 0)
         valid = castelnuovo_range(geom)
@@ -150,13 +148,10 @@ def test_curve_range_error_has_one_home():
             bound = CurveBound(beta, 0)
             if beta in valid:
                 case2_check(geom, [bound])
-                castelnuovo_check(geom, bound)
                 continue
-            with pytest.raises(BetaOutOfRange) as from_case2:
+            with pytest.raises(BetaOutOfRange) as err:
                 case2_check(geom, [bound])
-            with pytest.raises(BetaOutOfRange) as from_geometry:
-                castelnuovo_check(geom, bound)
-            assert str(from_case2.value) == str(from_geometry.value)
+            assert str(err.value) == f"beta = {beta} outside 1 <= beta < d/2 = {Q(d, 2)}"
 
 
 def test_case2_duplicate_betas_keep_smallest_chi():
@@ -226,9 +221,9 @@ def test_min_positive_ch2h_parity():
 
 
 def test_worst_case3_bounds():
-    assert worst_case3_bound(QUINTIC) == Q(-7, 6)
-    assert worst_case3_bound(CI24) == Q(-8, 3)
-    assert worst_case3_bound(CI223) == Q(-1)
+    assert certify_theorem(QUINTIC).case3.worst_bound == Q(-7, 6)
+    assert certify_theorem(CI24).case3.worst_bound == Q(-8, 3)
+    assert certify_theorem(CI223).case3.worst_bound == Q(-1)
 
 
 positive_ch2H = st.integers(1, 10**6) | st.fractions(min_value=Q(1, 10**6), max_value=10**6)
@@ -287,7 +282,7 @@ def test_worst_case3_closed_form(geom):
         if geom.d % 2
         else Q(2 * geom.d, 3) - geom.dimH - 3
     )
-    assert worst_case3_bound(geom) == expected
+    assert _case3_trace(geom).worst_bound == expected
 
 
 # --- candidate enumeration -----------------------------------------------------------
@@ -366,7 +361,7 @@ def test_candidate_coerces_ch2H_to_fraction():
 )
 def test_candidate_case3_bounds_dominated_by_worst(geom, mode):
     assert certify_theorem(geom, mode=mode).hypothesis_ok
-    worst = worst_case3_bound(geom)
+    worst = _case3_trace(geom).worst_bound
     assert worst <= 0
     for cand in enumerate_candidates(geom):
         if cand.r >= 2:

@@ -254,7 +254,7 @@ def test_certify_bad_curve_bound_syntax(capsys):
 def test_certify_out_of_range_curve_bound(capsys):
     code, _, err = run(capsys, "certify", "--preset", "quintic", "--curve-bound", "9:0")
     assert code == 3
-    assert "BetaOutOfRange" in err
+    assert err == "error: BetaOutOfRange: beta = 9 outside 1 <= beta < d/2 = 5/2\n"
 
 
 # --- eval --------------------------------------------------------------------------

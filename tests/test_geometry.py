@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from _oracles import (
     ci_chern_numbers,
-    fraction_castelnuovo_check,
     fraction_check_h_assumption,
     fraction_check_h_assumption_even,
     fraction_default_chi_min,
     fraction_even_threshold,
     fraction_full_threshold,
 )
-from bgcert.certifier import min_positive_ch2H
+from bgcert.certifier import case2_check, hypothesis_checks, min_positive_ch2H
 from bgcert.chern import line_bundle_ch
 from bgcert.errors import (
     BetaOutOfRange,
@@ -24,16 +23,12 @@ from bgcert.errors import (
     InconsistentGeometry,
     NegativeLinearSystem,
     NonIntegralGeometry,
-    OddDegree,
     UnknownPreset,
 )
 from bgcert.geometry import (
     CurveBound,
     PolarizedCY3,
-    castelnuovo_check,
     castelnuovo_range,
-    check_h_assumption,
-    check_h_assumption_even,
     default_chi_min,
     derive_dimH,
     even_threshold,
@@ -137,21 +132,25 @@ def test_explicit_dimh_mismatch_is_error():
     assert PolarizedCY3.derive(5, 50).dimH == 4
 
 
-# --- hypothesis predicates ----------------------------------------------------------
+# --- hypothesis thresholds and checks -----------------------------------------------
+
+def full_holds(geom):
+    return hypothesis_checks(geom)[0].holds
+
 
 def test_h_assumption_table():
-    assert check_h_assumption(from_preset("quintic"))  # 4 >= 17/6
-    assert not check_h_assumption(from_preset("ci24"))  # 5 < 19/3
-    assert not check_h_assumption(from_preset("ci223"))
+    assert full_holds(from_preset("quintic"))  # 4 >= 17/6
+    assert not full_holds(from_preset("ci24"))  # 5 < 19/3
+    assert not full_holds(from_preset("ci223"))
     boundary = PolarizedCY3(6, 48, 4)  # threshold is exactly 4
-    assert check_h_assumption(boundary)
+    assert full_holds(boundary)
 
 
 def test_h_assumption_even_table():
-    assert check_h_assumption_even(from_preset("ci24"))  # 5 >= 7/3
-    assert check_h_assumption_even(from_preset("ci223"))  # 6 >= 5, boundary-ish
-    with pytest.raises(OddDegree):
-        check_h_assumption_even(from_preset("quintic"))
+    assert hypothesis_checks(from_preset("ci24"))[1].holds  # 5 >= 7/3
+    assert hypothesis_checks(from_preset("ci223"))[1].holds  # 6 >= 5, boundary-ish
+    even = hypothesis_checks(from_preset("quintic"))[1]  # odd d: the variant does not apply
+    assert even.applicable is False and even.holds is False
 
 
 # Geometries up to d = 10**6, anywhere and with dim|H| next to either threshold.
@@ -179,12 +178,15 @@ def test_hypothesis_forms_match_fraction_oracle(geom):
     for got, expected in ((full_threshold(geom.d), fraction_full_threshold(geom.d)),
                           (even_threshold(geom.d), fraction_even_threshold(geom.d))):
         assert type(got) is type(expected) is Q and got == expected
-    assert check_h_assumption(geom) is fraction_check_h_assumption(geom)
+    full, even = hypothesis_checks(geom)
+    assert full.holds is fraction_check_h_assumption(geom)
     if geom.d % 2 == 0:
-        assert check_h_assumption_even(geom) is fraction_check_h_assumption_even(geom)
+        assert even.holds is fraction_check_h_assumption_even(geom)
+    else:
+        assert even.applicable is False and even.holds is False
 
 
-# --- castelnuovo range and check ----------------------------------------------------
+# --- castelnuovo range and the curve check (the supplied Case 2 row's ok) ------------
 
 def test_castelnuovo_range_examples():
     assert castelnuovo_range(from_preset("quintic")) == [1, 2]
@@ -200,37 +202,33 @@ def test_castelnuovo_range_length_and_bounds(geom):
     assert all(1 <= b and 2 * b < geom.d for b in betas)
 
 
+def curve_check(geom, beta, chi_min):
+    row = case2_check(geom, [CurveBound(beta, chi_min)])[beta - 1]
+    assert row.source == "supplied"
+    return row.ok
+
+
 def test_castelnuovo_check_examples():
     quintic = from_preset("quintic")
-    assert castelnuovo_check(quintic, CurveBound(1, 0))
-    assert castelnuovo_check(quintic, CurveBound(2, -1))
-    assert not castelnuovo_check(quintic, CurveBound(2, -2))
+    assert curve_check(quintic, 1, 0)
+    assert curve_check(quintic, 2, -1)
+    assert not curve_check(quintic, 2, -2)
     with pytest.raises(BetaOutOfRange):
-        castelnuovo_check(quintic, CurveBound(3, 0))
+        curve_check(quintic, 3, 0)
 
 
 @given(geometries)
 def test_default_chi_min_is_smallest_passing_integer(geom):
     for beta in castelnuovo_range(geom):
         chi = default_chi_min(geom, beta)
-        assert castelnuovo_check(geom, CurveBound(beta, chi))
-        assert not castelnuovo_check(geom, CurveBound(beta, chi - 1))
+        assert curve_check(geom, beta, chi)
+        assert not curve_check(geom, beta, chi - 1)
 
 
 @given(large_geometries, st.integers(-10**6, 10**6))
 def test_default_chi_min_matches_fraction_oracle(geom, beta):
     got, expected = default_chi_min(geom, beta), fraction_default_chi_min(geom, beta)
     assert type(got) is type(expected) is int and got == expected
-
-
-@given(st.integers(3, 10**6), st.data())
-def test_castelnuovo_check_matches_fraction_oracle(d, data):
-    geom = PolarizedCY3(d, 12 - 2 * d, 0)
-    beta = data.draw(st.integers(1, (d + 1) // 2 - 1))
-    floor = fraction_default_chi_min(geom, beta)  # near it the verdict turns
-    chi = data.draw(st.integers(floor - 2, floor + 2) | st.integers(-10**6, 10**6))
-    expected = fraction_castelnuovo_check(geom, beta, chi)
-    assert castelnuovo_check(geom, CurveBound(beta, chi)) is expected
 
 
 def test_curve_bound_validation():
@@ -257,6 +255,9 @@ def test_geometry_from_config_reports_offending_field():
     with pytest.raises(ConfigError) as err:
         geometry_from_config({"d": 5, "c2h": 50, "degree": 5})
     assert err.value.field == "degree"
+    with pytest.raises(ConfigError, match="unknown field 'alpha'") as err:  # the first, sorted
+        geometry_from_config({"d": 5, "c2h": 50, "zeta": 1, "alpha": 2})
+    assert err.value.field == "alpha"
     for bad in ("five", "5_0", "\u0665", "+5"):  # int() takes the last three
         with pytest.raises(ConfigError, match="field d: expected an integer") as err:
             geometry_from_config({"d": bad, "c2h": 50})
@@ -294,6 +295,22 @@ def test_load_geometry_config_bad_line(tmp_path):
     path.write_text("d 5\n")
     with pytest.raises(ConfigError):
         load_geometry_config(path)
+    path.write_text("d = 5\nc2h 50\n")
+    with pytest.raises(ConfigError) as err:
+        load_geometry_config(path)
+    assert str(err.value) == f"config {path}:2: expected key = value, got 'c2h 50'"
+
+
+@pytest.mark.parametrize("line,value", [("d = 5 = 5", "5 = 5"), ("d: 5: 5", "5: 5")])
+def test_load_geometry_config_splits_a_line_once(tmp_path, line, value):
+    # The value keeps any later separator, so it is not an integer.
+    path = tmp_path / "geom.cfg"
+    path.write_text(f"{line}\nc2h = 50\n")
+    data = load_geometry_config(path)
+    assert data == {"d": value, "c2h": "50"}
+    with pytest.raises(ConfigError, match="field d: expected an integer") as err:
+        geometry_from_config(data)
+    assert err.value.field == "d"
 
 
 @pytest.mark.parametrize("text", ["d = 5\nc2h = 50\nd = 8\n", '{"d": 5, "c2h": 50, "d": 8}'],

@@ -5,12 +5,12 @@
 
 Each mutant changes one token on one of the named lines: a binary `+` and
 `-` trade places, `*` and `//` trade places, a comparison gains or loses its
-equality (`<` and `<=`, `>` and `>=` trade places), and an integer constant
-moves by +1 and by -1. For each mutant the named tests run with `pytest -x` in a
-copy of the checkout (`src/`, `tests/`, `pyproject.toml`) under the system
-temporary directory, two copies at a time. A mutant is killed when pytest
-exits non-zero. The survivors are printed with their line; the last line is
-the count. Run it from the root of a checkout.
+equality (`<` and `<=`, `>` and `>=` trade places), `and` and `or` trade
+places, and an integer constant moves by +1 and by -1. For each mutant the
+named tests run with `pytest -x` in a copy of the checkout (`src/`, `tests/`,
+`pyproject.toml`) under the system temporary directory, two copies at a time.
+A mutant is killed when pytest exits non-zero. The survivors are printed with
+their line; the last line is the count. Run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import tempfile
 import tokenize
 from concurrent.futures import ThreadPoolExecutor
 
-SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
+         "and": "or", "or": "and"}
 WORKERS = 2
 
 
@@ -45,7 +46,7 @@ def mutants(source: str, lines: list[int]):
             continue
         before = tokens[index - 1]
         binary = before.type in (tokenize.NAME, tokenize.NUMBER) or before.string in (")", "]")
-        if token.type == tokenize.OP and token.string in SWAPS and binary:
+        if token.string in SWAPS and (token.type == tokenize.NAME or binary):  # NAME: and, or
             replacements = [SWAPS[token.string]]
         elif token.type == tokenize.NUMBER and token.string.isdigit():
             replacements = [str(int(token.string) + 1), str(int(token.string) - 1)]
