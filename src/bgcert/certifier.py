@@ -182,9 +182,10 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 # Candidate enumeration.
 
 # Enumeration and certification refuse a degree with more candidates than
-# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`
-# streams in about 0.4 s and 18 MB, but `certify --json`, which holds the
-# whole certificate, takes about 3.5 s and 250 MB (2-core VM, Python 3.11).
+# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`,
+# which writes blocks of 256 rows, takes about 0.2 s and 17 MB, but
+# `certify --json`, which holds the whole certificate, takes about 3.5 s and
+# 250 MB (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 
@@ -218,20 +219,28 @@ def candidate_count(d: int) -> int:
     return total
 
 
-def candidate_rows(d: int) -> Iterator[tuple[int, int]]:
-    """All (r, c2H) with ch2H = d/2 - c2H > 0 and 2 r c2H >= (r-1) d, by (r, c2H).
+def candidate_ranks(d: int) -> Iterator[tuple[int, int]]:
+    """(r, lo) for each rank r with a candidate, by r: its candidates are (r, c2H)
+    for c2H = lo, lo + 1, ... up to the largest admissible c2H, (d + 1) // 2 - 1.
 
-    Raises TooManyCandidates at once, before the first row, when there are
-    more than MAX_CANDIDATES. The Bogomolov-Gieseker floor ceil((r-1)d/2r)
-    grows with r; the last rank is the one whose floor still reaches the
-    largest admissible c2H.
+    Raises TooManyCandidates at once, before the first rank, when there are
+    more than MAX_CANDIDATES. lo is the Bogomolov-Gieseker floor
+    ceil((r-1)d/2r), which grows with r; the last rank is the one whose floor
+    still reaches the largest admissible c2H.
     """
     if candidate_count(d) > MAX_CANDIDATES:
         raise TooManyCandidates(f"d = {d} has more than {MAX_CANDIDATES} candidates")
     c_max = (d + 1) // 2 - 1
     r_max = d // (d - 2 * c_max)
-    return ((r, c) for r in range(1, r_max + 1)
-            for c in range(-(-((r - 1) * d) // (2 * r)), c_max + 1))
+    return ((r, -(-((r - 1) * d) // (2 * r))) for r in range(1, r_max + 1))
+
+
+def candidate_rows(d: int) -> Iterator[tuple[int, int]]:
+    """All (r, c2H) with ch2H = d/2 - c2H > 0 and 2 r c2H >= (r-1) d, by (r, c2H):
+    the runs of candidate_ranks, flattened. Raises TooManyCandidates as it does."""
+    ranks = candidate_ranks(d)
+    stop = (d + 1) // 2
+    return ((r, c) for r, lo in ranks for c in range(lo, stop))
 
 
 def ch2H_by_c2H(d: int) -> Iterator[Fraction]:

@@ -8,8 +8,9 @@ verdict). A reader that closes the output early ends the process by SIGPIPE,
 as with other Unix filters.
 
 For geom, certify and eval, the JSON and human renderings are generated from
-the same report value; enumerate writes both, row by row, from the same row
-iterator, `certifier.candidate_rows`. So the two views can never disagree.
+the same report value; enumerate writes both, in blocks of 256 rows, from the
+same rank iterator, `certifier.candidate_ranks`. So the two views can never
+disagree.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import argparse
 import json
 import signal
 import sys
+from itertools import chain, islice
+from typing import Iterator
 
 from .certifier import (
     Verdict,
-    candidate_rows,
+    candidate_ranks,
     certificate_to_jsonable,
     certify_theorem,
     ch2H_by_c2H,
@@ -53,6 +56,10 @@ _VERDICT_EXIT = {
 }
 
 _MODES = {"auto": "auto", "full": "full_1_3", "even": "even_variant"}
+
+# Rows per write call of `enumerate`. Larger blocks save little more time and
+# hold more memory at once; the traced peak must stay below the output.
+_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +230,41 @@ def cmd_geom(args) -> int:
 # enumerate
 
 
-def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
-    """Write the candidates to stdout row by row, in the bytes of one text or
-    json.dumps(indent=2) rendering of the whole list.
+def _write_rows(write, rows: Iterator[str]) -> int:
+    """Write the row strings in blocks of _BLOCK_ROWS, one write call per block;
+    return how many rows were written."""
+    n = 0
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        write("".join(block))
+        n += len(block)
+    return n
 
-    Each ch2H string is made once per c2H and joined to the row's rank as it
-    is written, so memory stays at O(d) while the output grows as d log d.
+
+def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
+    """Write the candidates to stdout in blocks of 256 rows from the same rank
+    iterator, in the bytes of one text or json.dumps(indent=2) rendering of the
+    whole list.
+
+    Each ch2H string is made once per c2H, as the tail of every row with that
+    c2H. A rank's rows are one run of c2H up to the last, so they are the
+    rank's head joined, in C, to each tail of that run. Memory stays at O(d)
+    while the output grows as d log d.
     """
-    rows = candidate_rows(geom.d)  # TooManyCandidates here, before any byte is written
+    ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
     labels = map(format_rational, ch2H_by_c2H(geom.d))
     write = sys.stdout.write
     if as_json:
         tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]
-        sep = "\n"
-        write("[")
-        for r, c in rows:
-            write(f'{sep}  {{\n    "r": {r}{tails[c]}')
-            sep = ",\n"
-        write("]\n" if sep == "\n" else "\n]\n")
+        rows = chain.from_iterable(
+            map(f',\n  {{\n    "r": {r}'.__add__, tails[lo:]) for r, lo in ranks
+        )
+        # (1, 0) is a candidate at every degree, so the list has a first row: it has no comma.
+        _write_rows(write, chain(("[" + next(rows)[1:],), rows))
+        write("\n]\n")
     else:
         tails = [f", {c})  ch2H = {s}\n" for c, s in enumerate(labels)]
-        n = 0
-        for n, (r, c) in enumerate(rows, 1):
-            write(f"({r}{tails[c]}")
-        write(f"{n} candidate(s)\n")
+        rows = chain.from_iterable(map(f"({r}".__add__, tails[lo:]) for r, lo in ranks)
+        write(f"{_write_rows(write, rows)} candidate(s)\n")
 
 
 def cmd_enumerate(args) -> int:

@@ -1,16 +1,21 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive (truncated power series, brute-force
-scans) and shares no code with the package under test.
+scans) and shares no formula with the package under test. The one exception
+is the row-by-row `enumerate` writer, which reads its rows from
+`candidate_rows`; that iterator is itself checked against `naive_candidates`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction as Q
 
-from bgcert.certifier import AffineFn, Case1Reading, Case1Trace
+from bgcert.certifier import AffineFn, Case1Reading, Case1Trace, candidate_rows, ch2H_by_c2H
 from bgcert.chern import ChernVector
+from bgcert.geometry import PolarizedCY3
+from bgcert.rationals import format_rational
 
 
 # --- truncated power series in one variable h, coefficients exact -----------
@@ -222,3 +227,32 @@ def scan_case1_trace(d):
         equality_lengths=equality,
         equality_value=lhs(equality[0]),
     )
+
+
+# --- enumerate as first written: one write call per row ----------------------------
+# The reference for the CLI's block writer.
+
+def row_by_row_render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
+    """Write the candidates to stdout row by row, in the bytes of one text or
+    json.dumps(indent=2) rendering of the whole list.
+
+    Each ch2H string is made once per c2H and joined to the row's rank as it
+    is written, so memory stays at O(d) while the output grows as d log d.
+    """
+    rows = candidate_rows(geom.d)  # TooManyCandidates here, before any byte is written
+    labels = map(format_rational, ch2H_by_c2H(geom.d))
+    write = sys.stdout.write
+    if as_json:
+        tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]
+        sep = "\n"
+        write("[")
+        for r, c in rows:
+            write(f'{sep}  {{\n    "r": {r}{tails[c]}')
+            sep = ",\n"
+        write("]\n" if sep == "\n" else "\n]\n")
+    else:
+        tails = [f", {c})  ch2H = {s}\n" for c, s in enumerate(labels)]
+        n = 0
+        for n, (r, c) in enumerate(rows, 1):
+            write(f"({r}{tails[c]}")
+        write(f"{n} candidate(s)\n")

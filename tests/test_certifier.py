@@ -27,6 +27,8 @@ from bgcert.certifier import (
     Verdict,
     _case3_trace,
     candidate_count,
+    candidate_ranks,
+    candidate_rows,
     case1_check,
     case2_check,
     case3_bound,
@@ -309,6 +311,34 @@ def test_enumerate_matches_naive_scan(d):
     assert got == expected  # record equality: field for field
     assert all(type(c.ch2H) is Q for c in got)
     assert candidate_count(d) == len(got)  # the closed form the limit is checked on
+
+
+@pytest.mark.parametrize("d", [*range(1, 61), 298, 311, 1999, 2000])
+def test_candidate_ranks_flatten_to_the_naive_scan(d):
+    # Each rank's run reaches the last admissible c2H, (d + 1) // 2 - 1.
+    expected = naive_candidates(d)
+    ranks = list(candidate_ranks(d))
+    assert [r for r, _ in ranks] == list(range(1, len(ranks) + 1))
+    assert [(r, c) for r, lo in ranks for c in range(lo, (d + 1) // 2)] == expected
+    assert list(candidate_rows(d)) == expected
+
+
+@pytest.mark.parametrize("d", [10**12 + 2, 35335, 39788])
+def test_candidate_ranks_refuses_too_many_when_called(d):
+    # At the call, not at the first next(): a caller writes nothing before it.
+    with pytest.raises(TooManyCandidates, match=f"d = {d} has more than 200000 candidates"):
+        candidate_ranks(d)
+    with pytest.raises(TooManyCandidates):
+        candidate_rows(d)
+
+
+def test_candidate_ranks_at_the_largest_degrees_below_the_limit():
+    # The last rank's floor is the last c2H: one row, and a rank more would have none.
+    for d in (35333, 39786):
+        *_, (r_max, lo) = candidate_ranks(d)
+        assert lo == (d + 1) // 2 - 1
+        assert 2 * (r_max + 1) * lo < r_max * d
+        assert sum((d + 1) // 2 - lo for _, lo in candidate_ranks(d)) == candidate_count(d)
 
 
 @pytest.mark.parametrize("d", range(1, 31))

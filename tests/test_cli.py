@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from _oracles import naive_candidates
+from _oracles import naive_candidates, row_by_row_render_enumerate
 import bgcert
 from bgcert import certifier
 from bgcert.cli import (
@@ -26,9 +27,10 @@ from bgcert.cli import (
     build_eval_report,
     build_geom_report,
     main,
+    render_enumerate,
 )
 from bgcert.chern import ChernVector
-from bgcert.geometry import from_preset
+from bgcert.geometry import PolarizedCY3, from_preset
 from bgcert.rationals import to_jsonable
 
 
@@ -151,13 +153,15 @@ def test_enumerate_large_degree_matches_naive_scan(capsys, d, c2h):
 
 
 class _CountingSink:
-    """A stdout that keeps nothing: it counts the characters written to it."""
+    """A stdout that keeps nothing: it counts the characters written to it and the write calls."""
 
     def __init__(self):
         self.chars = 0
+        self.writes = 0
 
     def write(self, text):
         self.chars += len(text)
+        self.writes += 1
         return len(text)
 
     def flush(self):
@@ -166,8 +170,9 @@ class _CountingSink:
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_enumerate_memory_stays_below_its_output(flags):
-    # Rows are written as they are made: the traced peak must stay below the output
-    # (about 0.6x in text and 0.3x in JSON; a whole report held at once was about 17x).
+    # Rows are written in blocks of 256 as they are made: the traced peak must stay
+    # below the output (about 0.8x in text and 0.4x in JSON; blocks of 512 rows
+    # were above it in text; a whole report held at once was about 17x).
     argv = ["enumerate", "--d", "2001", "--c2h", "6", *flags]
     with contextlib.redirect_stdout(_CountingSink()):
         assert main(argv) == 0  # one-time costs (imports, parser caches) before tracing
@@ -181,6 +186,60 @@ def test_enumerate_memory_stays_below_its_output(flags):
         tracemalloc.stop()
     assert sink.chars > 190_000
     assert peak < sink.chars
+
+
+def _rendered(render, d, as_json):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        render(PolarizedCY3(d, 12 - 2 * d, 0), as_json)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_enumerate_blocks_match_the_row_by_row_writer(as_json):
+    # Both parities, one-row ranks, and d = 1 and 2 with a single candidate.
+    for d in range(1, 301):
+        assert _rendered(render_enumerate, d, as_json) == _rendered(
+            row_by_row_render_enumerate, d, as_json
+        ), d
+
+
+# 298: exactly 3 blocks of 256 rows; 311: one row past 4 blocks.
+@pytest.mark.parametrize("d,count", [(298, 768), (311, 1025), (2000, 7069), (2001, 8457)])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_enumerate_blocks_match_the_row_by_row_writer_at_block_edges(d, count, as_json):
+    assert certifier.candidate_count(d) == count
+    out = _rendered(render_enumerate, d, as_json)
+    assert out == _rendered(row_by_row_render_enumerate, d, as_json)
+    if as_json:
+        assert len(json.loads(out)) == count
+    else:
+        assert out.endswith(f"\n{count} candidate(s)\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_enumerate_writes_a_block_per_call(as_json):
+    # 107,517 rows at d = 20001: one write per 256 rows, plus the closing line.
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        render_enumerate(PolarizedCY3.derive(20001, 6), as_json)
+    assert certifier.candidate_count(20001) == 107_517
+    assert sink.writes == -(-107_517 // 256) + 1
+
+
+@pytest.mark.parametrize(
+    "flags,size,digest",
+    [
+        ((), 2_713_460, "27cdf7b9e3963cc8adb5e52799b01405489dd1b6e44b6f207fb19c461ca9a4c8"),
+        (("--json",), 6_369_021, "4d390a10efd1c02117116d96ef7e3e15e590beeaa7b79abb2f6d70c4352989f2"),
+    ],
+    ids=["text", "json"],
+)
+def test_enumerate_at_the_benchmark_scale_is_pinned(capsys, flags, size, digest):
+    code, out, err = run(capsys, "enumerate", "--d", "20001", "--c2h", "6", *flags)
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def _run_capped(*argv):
@@ -500,6 +559,14 @@ def test_internal_fault_is_exit_4_not_a_verdict(capsys, monkeypatch):
 
 def test_unknown_subcommand_maps_to_config_exit(capsys):
     assert main(["frobnicate"]) == 3
+
+
+@pytest.mark.parametrize("first", ["-1", "10", "-1/2"])
+def test_a_number_in_place_of_the_subcommand_is_exit_3(capsys, first):
+    # Nothing precedes it, so it is not joined to an option; argparse refuses it.
+    code, out, err = run(capsys, first, "geom", "--preset", "quintic")
+    assert (code, out) == (3, "")
+    assert "bgcert: error: " in err
 
 
 def test_help_exits_zero(capsys):
