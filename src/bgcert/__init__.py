@@ -6,7 +6,6 @@ certificates. All arithmetic is exact; there is no floating point anywhere.
 """
 
 from .certifier import (
-    AffineFn,
     Candidate,
     CastelnuovoStatus,
     Certificate,

@@ -48,29 +48,8 @@ class CastelnuovoStatus(str, Enum):
 # Case 1: rank one, zero-dimensional subscheme of length l >= 0.
 
 
-class AffineFn(Record):
-    """x -> slope*x + intercept, read as a function on x >= 0."""
-
-    __slots__ = ("slope", "intercept")
-
-    def __init__(self, slope: Fraction, intercept: Fraction):
-        super().__init__(exact_rational(slope, "slope"), exact_rational(intercept, "intercept"))
-
-    def __call__(self, x) -> Fraction:
-        return self.slope * exact_rational(x, "x") + self.intercept
-
-
-class Case1Reading(Record):
-    __slots__ = ("rhs", "holds", "equality_lengths")
-
-
 class Case1Trace(Record):
-    __slots__ = ("lhs", "constant_reading", "sloped_reading", "holds_for_all_lengths",
-                 "equality_lengths", "equality_value")
-
-
-# The slopes in l of ch3 = d/6 - l and of the two readings of the right side.
-_LHS_SLOPE, _CONSTANT_SLOPE, _SLOPED_SLOPE = Fraction(-1), Fraction(0), Fraction(-1, 3)
+    __slots__ = ("holds_for_all_lengths", "equality_lengths", "equality_value")
 
 
 def case1_check(geom: PolarizedCY3) -> Case1Trace:
@@ -82,16 +61,7 @@ def case1_check(geom: PolarizedCY3) -> Case1Trace:
     fastest, so both readings hold for every l, with equality exactly at
     l = 0, where the value is d/6. The trace records that closed form.
     """
-    sixth = Fraction(geom.d, 6)
-    at_zero = (0,)
-    return Case1Trace(
-        AffineFn(_LHS_SLOPE, sixth),
-        Case1Reading(AffineFn(_CONSTANT_SLOPE, sixth), True, at_zero),
-        Case1Reading(AffineFn(_SLOPED_SLOPE, sixth), True, at_zero),
-        True,
-        at_zero,
-        sixth,
-    )
+    return Case1Trace(True, (0,), Fraction(geom.d, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,8 @@ def render_eval(report: dict) -> str:
 def cmd_eval(args) -> int:
     ch = _parse_ch(args.ch)
     if args.op == "ineq12":
-        geom = _resolve_geometry(args)[0]  # optional for this op
+        _resolve_geometry(args)  # optional for this op, but checked when given
+        geom = None
     else:
         geom = _require_geometry(args)[0]
     t = None

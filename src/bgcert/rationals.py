@@ -2,10 +2,13 @@
 
 Rationals are `fractions.Fraction`, which already guarantees lowest terms and
 a positive denominator. No floating point is used anywhere in this package:
-every scalar argument of a record, or of a formula on Chern vectors, slopes or
-the case bounds, is exactly an `int` or a `Fraction` (checked by `exact_int`
-and `exact_rational`; anything else is a TypeError naming the field). A
-degree d has its own check, `geometry.check_degree`, a ValueError.
+every scalar field of `ChernVector`, `PolarizedCY3`, `CurveBound` and
+`Candidate`, and every scalar argument of a formula on Chern vectors, slopes
+or the case bounds, is exactly an `int` or a `Fraction` (checked by
+`exact_int` and `exact_rational`; anything else is a TypeError naming the
+field). The certificate's parts and the other reports do not check: only the
+package builds them, from checked values. A degree d has its own check,
+`geometry.check_degree`, a ValueError.
 `Record`, the base of every immutable record, and `to_jsonable`, the one JSON
 serializer, live here so every module can use them. A record declares its
 fields once, as `__slots__` in declaration order, and the base `__init__`

@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction as Q
 
-from bgcert.certifier import AffineFn, Case1Reading, Case1Trace, candidate_rows, ch2H_by_c2H
+from bgcert.certifier import Case1Trace, candidate_rows, ch2H_by_c2H
 from bgcert.chern import ChernVector
 from bgcert.geometry import PolarizedCY3
 from bgcert.rationals import format_rational
@@ -196,13 +196,19 @@ def fraction_ch2H_by_c2H(d):
 
 
 def affine_dominates(f, g):
-    """f(x) <= g(x) for every x >= 0; slope and intercept comparisons are exact and sufficient."""
-    return f.slope <= g.slope and f.intercept <= g.intercept
+    """f(x) <= g(x) for every x >= 0, for (slope, intercept) pairs; slope and
+    intercept comparisons are exact and sufficient."""
+    return f[0] <= g[0] and f[1] <= g[1]
+
+
+def affine_value(f, x):
+    """The (slope, intercept) pair f evaluated at x."""
+    return f[0] * x + f[1]
 
 
 def integer_equality_points(f, g):
-    """Non-negative integers where two affine functions of different slopes agree."""
-    x = (g.intercept - f.intercept) / (f.slope - g.slope)
+    """Non-negative integers where two (slope, intercept) pairs of different slopes agree."""
+    x = (g[1] - f[1]) / (f[0] - g[0])
     if x >= 0 and x.denominator == 1:
         return (int(x),)
     return ()
@@ -211,21 +217,15 @@ def integer_equality_points(f, g):
 def scan_case1_trace(d):
     """Case 1 built by comparing ch3 = d/6 - l with each reading of the right side."""
     sixth = Q(d, 6)
-    lhs = AffineFn(Q(-1), sixth)
-    readings = []
-    for slope in (Q(0), Q(-1, 3)):
-        rhs = AffineFn(slope, sixth)
-        equality = integer_equality_points(lhs, rhs)
-        readings.append(Case1Reading(rhs, affine_dominates(lhs, rhs), equality))
-    constant, sloped = readings
-    equality = constant.equality_lengths
+    lhs = (Q(-1), sixth)
+    readings = [(Q(0), sixth), (Q(-1, 3), sixth)]  # constant and sloped
+    equalities = [integer_equality_points(lhs, rhs) for rhs in readings]
+    assert equalities[0] == equalities[1]
+    equality = equalities[0]
     return Case1Trace(
-        lhs=lhs,
-        constant_reading=constant,
-        sloped_reading=sloped,
-        holds_for_all_lengths=constant.holds and sloped.holds,
+        holds_for_all_lengths=all(affine_dominates(lhs, rhs) for rhs in readings),
         equality_lengths=equality,
-        equality_value=lhs(equality[0]),
+        equality_value=affine_value(lhs, equality[0]),
     )
 
 

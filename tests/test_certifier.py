@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     affine_dominates,
+    affine_value,
     fraction_case2_row,
     fraction_case3_bound,
     fraction_case3_trace,
@@ -18,7 +19,6 @@ from _oracles import (
     scan_case1_trace,
 )
 from bgcert.certifier import (
-    AffineFn,
     Candidate,
     Case3Trace,
     CastelnuovoStatus,
@@ -49,7 +49,7 @@ from bgcert.geometry import (
     default_chi_min,
     from_preset,
 )
-from bgcert.rationals import to_jsonable
+from bgcert.rationals import format_rational, to_jsonable
 
 QUINTIC = from_preset("quintic")
 CI24 = from_preset("ci24")
@@ -66,16 +66,16 @@ geometries = st.builds(
 # --- affine comparisons (the scan Case 1 was first computed with) -------------------
 
 def test_affine_dominates_examples():
-    f = AffineFn(Q(-1), Q(5, 6))
-    g = AffineFn(Q(-1, 3), Q(5, 6))
+    f = (Q(-1), Q(5, 6))
+    g = (Q(-1, 3), Q(5, 6))
     assert affine_dominates(f, g)
     assert affine_dominates(f, f)
-    assert not affine_dominates(AffineFn(Q(1), Q(0)), AffineFn(Q(0), Q(2)))
+    assert not affine_dominates((Q(1), Q(0)), (Q(0), Q(2)))
 
 
 def test_affine_evaluation():
-    f = AffineFn(Q(-1), Q(5, 6))
-    assert f(3) == Q(-13, 6)
+    f = (Q(-1), Q(5, 6))
+    assert affine_value(f, 3) == Q(-13, 6)
 
 
 # --- Case 1 ------------------------------------------------------------------------
@@ -85,8 +85,6 @@ def test_case1_quintic():
     assert trace.holds_for_all_lengths
     assert trace.equality_lengths == (0,)
     assert trace.equality_value == Q(5, 6)
-    assert trace.constant_reading.holds and trace.sloped_reading.holds
-    assert trace.constant_reading.equality_lengths == trace.sloped_reading.equality_lengths == (0,)
 
 
 def test_case1_degree_twelve():
@@ -101,6 +99,21 @@ def test_case1_closed_form_matches_the_scan():
     for d in range(1, 2001):
         closed, scanned = case1_check(PolarizedCY3(d, 12 - 2 * d, 0)), scan_case1_trace(d)
         assert closed == scanned and repr(closed) == repr(scanned)  # repr: same types too
+
+
+def _case1_schema(d):
+    return {"holds_for_all_lengths": True, "equality_lengths": [0],
+            "equality_value": format_rational(Q(d, 6))}
+
+
+@given(st.integers(1, 10**12))
+def test_case1_serializes_to_the_closed_form(d):
+    assert to_jsonable(case1_check(PolarizedCY3(d, 12 - 2 * d, 0))) == _case1_schema(d)
+
+
+@given(geometries)
+def test_certificate_case1_holds_only_the_closed_form(geom):
+    assert certificate_to_jsonable(certify_theorem(geom))["case1"] == _case1_schema(geom.d)
 
 
 @pytest.mark.parametrize("length", range(0, 101))

@@ -356,6 +356,20 @@ def test_eval_ineq12_no_geometry_needed(capsys):
     assert "equality" in out
 
 
+def test_eval_ineq12_still_checks_a_given_geometry(capsys):
+    # ineq12 does not use the geometry, but one that is given must be valid.
+    ch = ("--ch", "1,1,5/2,5/6")
+    code, out, err = run(capsys, "eval", "--op", "ineq12", "--d", "0", "--c2h", "1", *ch)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: ValueError: d must be a positive integer, got 0"]
+    code, out, err = run(capsys, "eval", "--op", "ineq12", "--preset", "nope", *ch)
+    assert (code, out) == (3, "")
+    assert "unknown preset 'nope'" in err
+    code, out, _ = run(capsys, "eval", "--op", "ineq12", "--preset", "quintic", *ch)
+    assert code == 0
+    assert out == "ineq12: lhs = 5/6, rhs = 5/6 -> equality\n"
+
+
 def test_eval_json(capsys):
     code, out, _ = run(
         capsys, "eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", "--t", "1", "--json"

@@ -11,7 +11,6 @@ from fractions import Fraction as Q
 import pytest
 
 from bgcert import (
-    AffineFn,
     Candidate,
     ChernVector,
     CurveBound,
@@ -85,9 +84,6 @@ RATIONAL_FIELDS = [
      {"ch0": 1, "c1": 1, "ch2H": "3", "ch3": "0"}),
     ("ChernVector", "ch3", lambda x: ChernVector(1, 1, 0, x), -2,
      {"ch0": 1, "c1": 1, "ch2H": "0", "ch3": "-2"}),
-    ("AffineFn", "slope", lambda x: AffineFn(x, 1), 2, {"slope": "2", "intercept": "1"}),
-    ("AffineFn", "intercept", lambda x: AffineFn(0, x), -1, {"slope": "0", "intercept": "-1"}),
-    ("AffineFn.__call__", "x", lambda x: AffineFn(Q(1, 2), 1)(x), 3, "5/2"),
     ("Candidate", "ch2H", lambda x: Candidate(1, 0, x), 2, {"r": 1, "c2H": 0, "ch2H": "2"}),
     ("ext1_cap", "ch2H", lambda x: ext1_cap(QUINTIC, x, 2), 1, "1/2"),
     ("case3_bound", "ch2H", lambda x: case3_bound(QUINTIC, x, 2), 1, "-11/3"),

@@ -24,28 +24,10 @@ QUINTIC = from_preset("quintic")
 # (a record, its repr, and the keys of its to_jsonable form in field order)
 RECORDS = [
     pytest.param(
-        lambda: certifier.AffineFn(Q(-1), Q(5, 6)),
-        "AffineFn(slope=Fraction(-1, 1), intercept=Fraction(5, 6))",
-        ("slope", "intercept"),
-        id="AffineFn",
-    ),
-    pytest.param(
-        lambda: certifier.case1_check(QUINTIC).sloped_reading,
-        "Case1Reading(rhs=AffineFn(slope=Fraction(-1, 3), intercept=Fraction(5, 6)), "
-        "holds=True, equality_lengths=(0,))",
-        ("rhs", "holds", "equality_lengths"),
-        id="Case1Reading",
-    ),
-    pytest.param(
         lambda: certifier.case1_check(QUINTIC),
-        "Case1Trace(lhs=AffineFn(slope=Fraction(-1, 1), intercept=Fraction(5, 6)), "
-        "constant_reading=Case1Reading(rhs=AffineFn(slope=Fraction(0, 1), "
-        "intercept=Fraction(5, 6)), holds=True, equality_lengths=(0,)), "
-        "sloped_reading=Case1Reading(rhs=AffineFn(slope=Fraction(-1, 3), "
-        "intercept=Fraction(5, 6)), holds=True, equality_lengths=(0,)), "
-        "holds_for_all_lengths=True, equality_lengths=(0,), equality_value=Fraction(5, 6))",
-        ("lhs", "constant_reading", "sloped_reading", "holds_for_all_lengths",
-         "equality_lengths", "equality_value"),
+        "Case1Trace(holds_for_all_lengths=True, equality_lengths=(0,), "
+        "equality_value=Fraction(5, 6))",
+        ("holds_for_all_lengths", "equality_lengths", "equality_value"),
         id="Case1Trace",
     ),
     pytest.param(
@@ -87,12 +69,8 @@ RECORDS = [
         "hypothesis=HypothesisCheck(mode=<HypothesisMode.FULL: 'full_1_3'>, applicable=True, "
         "dimH=1, threshold=Fraction(-2, 3), holds=True), hypothesis_ok=True, "
         "castelnuovo_status=<CastelnuovoStatus.ASSUMED: 'assumed'>, "
-        "case1=Case1Trace(lhs=AffineFn(slope=Fraction(-1, 1), intercept=Fraction(1, 3)), "
-        "constant_reading=Case1Reading(rhs=AffineFn(slope=Fraction(0, 1), "
-        "intercept=Fraction(1, 3)), holds=True, equality_lengths=(0,)), "
-        "sloped_reading=Case1Reading(rhs=AffineFn(slope=Fraction(-1, 3), "
-        "intercept=Fraction(1, 3)), holds=True, equality_lengths=(0,)), "
-        "holds_for_all_lengths=True, equality_lengths=(0,), equality_value=Fraction(1, 3)), "
+        "case1=Case1Trace(holds_for_all_lengths=True, equality_lengths=(0,), "
+        "equality_value=Fraction(1, 3)), "
         "case2=(), case3=Case3Trace(min_ch2H=Fraction(1, 1), ch0F=2, ext1_cap=Fraction(-1, "
         "1), worst_bound=Fraction(-8, 3), impossible=True, ok=True), "
         "candidates=(Candidate(r=1, c2H=0, ch2H=Fraction(1, 1)),), violated_betas=(), "
@@ -174,13 +152,13 @@ def _construction_error(cls, *values, **named) -> str:
 def test_every_record_class_is_in_the_contract():
     sampled = {param.values[0]().__class__ for param in RECORDS}
     program = {c for c in Record.__subclasses__() if c.__module__.startswith("bgcert.")}
-    assert sampled == program and len(sampled) == 13
+    assert sampled == program and len(sampled) == 11
 
 
 def test_only_records_with_checks_define_init():
     program = {c for c in Record.__subclasses__() if c.__module__.startswith("bgcert.")}
     own_init = {c.__name__ for c in program if "__init__" in vars(c)}
-    assert own_init == {"AffineFn", "Candidate", "ChernVector", "PolarizedCY3", "CurveBound"}
+    assert own_init == {"Candidate", "ChernVector", "PolarizedCY3", "CurveBound"}
 
 
 def test_only_record_init_writes_a_field():
