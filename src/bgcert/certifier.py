@@ -213,20 +213,15 @@ def candidate_rows(d: int) -> Iterator[tuple[int, int]]:
     return ((r, c) for r, lo in ranks for c in range(lo, stop))
 
 
-def ch2H_by_c2H(d: int) -> Iterator[Fraction]:
-    """ch2H = d/2 - c2H, built as (d - 2 c2H)/2, for c2H = 0, 1, ... up to the largest a
-    candidate can have."""
-    return (Fraction(d - 2 * c, 2) for c in range((d + 1) // 2))
-
-
 def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
     """The candidates of candidate_rows as records.
 
     ch2H depends on c2H alone, so each value is built once per c2H and the
     same (immutable) Fraction is shared by the candidates of every rank.
     """
-    rows = candidate_rows(geom.d)
-    ch2H = list(ch2H_by_c2H(geom.d))
+    d = geom.d
+    rows = candidate_rows(d)
+    ch2H = [Fraction(d - 2 * c, 2) for c in range((d + 1) // 2)]
     return [Candidate(r, c, ch2H[c]) for r, c in rows]
 
 

@@ -27,7 +27,6 @@ from .certifier import (
     candidate_ranks,
     certificate_to_jsonable,
     certify_theorem,
-    ch2H_by_c2H,
     check_ineq_1_2,
     hypothesis_checks,
 )
@@ -245,13 +244,15 @@ def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
     iterator, in the bytes of one text or json.dumps(indent=2) rendering of the
     whole list.
 
-    Each ch2H string is made once per c2H, as the tail of every row with that
-    c2H. A rank's rows are one run of c2H up to the last, so they are the
-    rank's head joined, in C, to each tail of that run. Memory stays at O(d)
-    while the output grows as d log d.
+    Each ch2H string is made once per c2H, in integers, as the tail of every
+    row with that c2H. A rank's rows are one run of c2H up to the last, so
+    they are the rank's head joined, in C, to each tail of that run. Memory
+    stays at O(d) while the output grows as d log d.
     """
-    ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
-    labels = map(format_rational, ch2H_by_c2H(geom.d))
+    d = geom.d
+    ranks = candidate_ranks(d)  # TooManyCandidates here, before any byte is written
+    # ch2H = (d - 2 c2H)/2: whole for even d, else an odd numerator over 2, in lowest terms.
+    labels = (f"{d - 2 * c}/2" if d % 2 else str(d // 2 - c) for c in range((d + 1) // 2))
     write = sys.stdout.write
     if as_json:
         tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]

@@ -8,6 +8,8 @@ The certifier decides both hypotheses from the thresholds and ranges here.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 from typing import Mapping
 
@@ -178,14 +180,31 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+# A real config file is under 200 bytes. Reading no more than this bounds the time and
+# memory of any --config, /dev/zero or a huge file included.
+CONFIG_MAX_BYTES = 64 * 1024
+
+
 def load_geometry_config(path) -> dict:
     """Read a UTF-8 config file, BOM allowed: a JSON object, or "key = value" lines.
 
     In the line format, blank lines and "#" comments are skipped and ":" is
     accepted in place of "=". A key given twice is an error in either format.
+    Only a regular file of at most CONFIG_MAX_BYTES is read. A pipe or device
+    is refused: what a read of it returns depends on its writer and on timing.
     """
-    with open(path, encoding="utf-8-sig") as file:
-        text = file.read()
+    # O_NONBLOCK: opening a FIFO with no writer returns at once instead of waiting.
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ConfigError(f"config {path}: not a regular file")
+        with open(fd, "rb", closefd=False) as file:
+            raw = file.read(CONFIG_MAX_BYTES + 1)
+    finally:
+        os.close(fd)
+    if len(raw) > CONFIG_MAX_BYTES:
+        raise ConfigError(f"config {path}: longer than the cap of {CONFIG_MAX_BYTES} bytes")
+    text = raw.decode("utf-8-sig")
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:

@@ -1,5 +1,5 @@
-"""Slopes, the Bogomolov-Gieseker discriminant, the tilt slope, and the exact
-slope-window enumerations behind the rank bookkeeping arguments.
+"""Slopes, the Bogomolov-Gieseker discriminant, the tilt slope, and the closed
+forms of the slope windows behind the rank bookkeeping arguments.
 
 Only the sign and ordering of the tilt slope are contractual; the adopted
 normalization at B = 0, omega = t*H is
@@ -85,31 +85,21 @@ def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> Sandwi
     return SandwichReport(left_ok and right_ok, ch_sub.ch2H, ch_quot.ch2H)
 
 
-def _slope_window(lo: int, hi: int, s_max: int) -> list[tuple[int, int]]:
-    """All (k, s) with 1 <= s <= s_max and 1/lo <= k/s <= 1/hi, lexicographic."""
-    pairs = []
-    for s in range(1, s_max + 1):
-        # 1/lo <= k/s  <=>  k lo >= s;   k/s <= 1/hi  <=>  k hi <= s
-        k_lo = max(1, -(-s // lo))
-        k_hi = s // hi
-        pairs.extend((k, s) for k in range(k_lo, k_hi + 1))
-    return sorted(pairs)
-
-
 def lemma1_slope_window(r: int) -> list[tuple[int, int]]:
-    """All (k, s) with 1 <= s <= r and 1/(r+1) <= k/s <= 1/r, lexicographic.
+    """All (k, s) with 1 <= s <= r and 1/(r+1) <= k/s <= 1/r: the single pair (1, r).
 
-    The window sits at or below 1, so k <= s and the scan terminates without
-    assuming the answer. Cross-multiplied integer comparisons keep it exact:
-    the result is forced to the single pair (1, r).
+    s <= r and k/s <= 1/r force s >= kr >= r, so (k, s) = (1, r).
     """
     if exact_int(r, "r") < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return _slope_window(r + 1, r, r)
+    return [(1, r)]
 
 
 def lemma2_slope_window(r: int) -> list[tuple[int, int]]:
-    """All (k, s) with 1 <= s < r - 1 and 1/r <= k/s <= 1/(r-1); always empty."""
+    """All (k, s) with 1 <= s < r - 1 and 1/r <= k/s <= 1/(r-1): always empty.
+
+    k/s <= 1/(r-1) forces s >= k(r - 1) >= r - 1, above the largest s, r - 2.
+    """
     if exact_int(r, "r") < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    return _slope_window(r, r - 1, r - 2)
+    return []

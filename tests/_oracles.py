@@ -4,6 +4,7 @@ Everything here is deliberately naive (truncated power series, brute-force
 scans) and shares no formula with the package under test. The one exception
 is the row-by-row `enumerate` writer, which reads its rows from
 `candidate_rows`; that iterator is itself checked against `naive_candidates`.
+Its ch2H labels are `str` of `fraction_ch2H_by_c2H`, not the package's.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import math
 import sys
 from fractions import Fraction as Q
 
-from bgcert.certifier import Case1Trace, candidate_rows, ch2H_by_c2H
+from bgcert.certifier import Case1Trace, candidate_rows
 from bgcert.chern import ChernVector
 from bgcert.geometry import PolarizedCY3
-from bgcert.rationals import format_rational
 
 
 # --- truncated power series in one variable h, coefficients exact -----------
@@ -240,7 +240,7 @@ def row_by_row_render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
     is written, so memory stays at O(d) while the output grows as d log d.
     """
     rows = candidate_rows(geom.d)  # TooManyCandidates here, before any byte is written
-    labels = map(format_rational, ch2H_by_c2H(geom.d))
+    labels = map(str, fraction_ch2H_by_c2H(geom.d))  # Fraction prints p/q, or p when whole
     write = sys.stdout.write
     if as_json:
         tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]

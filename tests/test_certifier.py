@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction as Q
-from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -13,7 +12,6 @@ from _oracles import (
     fraction_case2_row,
     fraction_case3_bound,
     fraction_case3_trace,
-    fraction_ch2H_by_c2H,
     fraction_ext1_cap,
     naive_candidates,
     scan_case1_trace,
@@ -33,7 +31,6 @@ from bgcert.certifier import (
     case2_check,
     case3_bound,
     certificate_to_jsonable,
-    ch2H_by_c2H,
     certify_theorem,
     check_ineq_1_2,
     enumerate_candidates,
@@ -282,14 +279,6 @@ def test_case3_trace_at_its_boundaries():
     assert trace.ext1_cap == 0 and not trace.impossible
 
 
-@given(st.integers(1, 10**6) | st.integers(1, 4000))
-def test_ch2H_by_c2H_matches_fraction_oracle(d):
-    # The first 2000 values: the whole sequence below d = 4000.
-    got = list(islice(ch2H_by_c2H(d), 2000))
-    assert got == list(islice(fraction_ch2H_by_c2H(d), 2000))
-    assert all(type(value) is Q for value in got)
-
-
 @given(geometries)
 def test_worst_case3_closed_form(geom):
     expected = (
@@ -317,12 +306,21 @@ def test_enumerate_ci24_and_tiny():
 
 
 @pytest.mark.parametrize("d", [*range(1, 61), 1999, 2000])
-def test_enumerate_matches_naive_scan(d):
+def test_enumerate_matches_naive_scan(d, monkeypatch):
     geom = PolarizedCY3(d, 12 - 2 * d, 0)
     expected = [Candidate(r, c, Q(d, 2) - c) for r, c in naive_candidates(d)]
+    built = []
+
+    def counted_fraction(*args):
+        built.append(Q(*args))
+        return built[-1]
+
+    monkeypatch.setattr("bgcert.certifier.Fraction", counted_fraction)
     got = enumerate_candidates(geom)
     assert got == expected  # record equality: field for field
     assert all(type(c.ch2H) is Q for c in got)
+    # One Fraction per admissible c2H, shared by the candidates of every rank.
+    assert len(built) == (d + 1) // 2 and all(c.ch2H is built[c.c2H] for c in got)
     assert candidate_count(d) == len(got)  # the closed form the limit is checked on
 
 

@@ -6,6 +6,8 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +32,7 @@ from bgcert.cli import (
     render_enumerate,
 )
 from bgcert.chern import ChernVector
-from bgcert.geometry import PolarizedCY3, from_preset
+from bgcert.geometry import CONFIG_MAX_BYTES, PolarizedCY3, from_preset
 from bgcert.rationals import to_jsonable
 
 
@@ -228,15 +230,20 @@ def test_enumerate_writes_a_block_per_call(as_json):
 
 
 @pytest.mark.parametrize(
-    "flags,size,digest",
+    "d,c2h,flags,size,digest",
     [
-        ((), 2_713_460, "27cdf7b9e3963cc8adb5e52799b01405489dd1b6e44b6f207fb19c461ca9a4c8"),
-        (("--json",), 6_369_021, "4d390a10efd1c02117116d96ef7e3e15e590beeaa7b79abb2f6d70c4352989f2"),
+        ("20001", "6", (), 2_713_460,
+         "27cdf7b9e3963cc8adb5e52799b01405489dd1b6e44b6f207fb19c461ca9a4c8"),
+        ("20001", "6", ("--json",), 6_369_021,
+         "4d390a10efd1c02117116d96ef7e3e15e590beeaa7b79abb2f6d70c4352989f2"),
+        # Even d, so every ch2H label is whole: the median rung of `enumerate-large`.
+        ("15000", "12", (), 1_538_061,
+         "097b1d78a397441554b71bb0a83a8c5f7f4350c5dcfcc652ce538218dd82ba24"),
     ],
-    ids=["text", "json"],
+    ids=["text", "json", "even-d-text"],
 )
-def test_enumerate_at_the_benchmark_scale_is_pinned(capsys, flags, size, digest):
-    code, out, err = run(capsys, "enumerate", "--d", "20001", "--c2h", "6", *flags)
+def test_enumerate_at_the_benchmark_scale_is_pinned(capsys, d, c2h, flags, size, digest):
+    code, out, err = run(capsys, "enumerate", "--d", d, "--c2h", c2h, *flags)
     assert (code, err) == (0, "")
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
@@ -533,6 +540,44 @@ def test_config_file_not_utf8_is_exit_3(capsys, tmp_path):
     assert err.startswith("error: UnicodeDecodeError: 'utf-8' codec") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+def test_config_from_dev_zero_is_exit_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "geom", "--config", "/dev/zero")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == "error: ConfigError: config /dev/zero: not a regular file\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_config_from_a_fifo_with_no_writer_is_exit_3(tmp_path):
+    # In a child, so that a blocking open fails the test by its timeout instead of hanging it.
+    path = tmp_path / "geom.fifo"
+    os.mkfifo(path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgcert", "geom", "--config", str(path)],
+        capture_output=True,
+        env=_CHILD_ENV,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == f"error: ConfigError: config {path}: not a regular file\n".encode()
+
+
+@pytest.mark.parametrize("config", ["d = 5\nc2h = 50\n", '{"d": 5, "c2h": 50}'],
+                         ids=["lines", "json"])
+def test_config_at_the_cap_reads_and_one_byte_over_is_exit_3(capsys, tmp_path, config):
+    path = tmp_path / "geom.cfg"
+    path.write_bytes(config.encode().ljust(CONFIG_MAX_BYTES, b" "))
+    code, out, err = run(capsys, "geom", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("geometry custom: d = 5, c2(X).H = 50,")
+    path.write_bytes(config.encode().ljust(CONFIG_MAX_BYTES + 1, b" "))
+    code, out, err = run(capsys, "geom", "--config", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: ConfigError: config {path}: longer than the cap of 65536 bytes\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_enumerate_into_closed_pipe_ends_quietly():
     # d = 2000 prints about 146 kB, more than a pipe holds, so the child is
@@ -660,11 +705,17 @@ def _argv(draw):
 
 
 @settings(deadline=None)  # the first example pays for imports and parser set-up
-@given(_argv())
-def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv):
+@given(_argv(), st.none() | st.binary(max_size=300))
+def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv, config):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:  # random bytes as a config file
+            path = os.path.join(tmp, "geom.cfg")
+            with open(path, "wb") as file:
+                file.write(config)
+            argv = [*argv, "--config", path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     if code == 3:
         assert out.getvalue() == "" and err.getvalue() != ""

@@ -1,8 +1,14 @@
-"""Every scalar argument of a record or formula is exactly an int or a Fraction.
+"""The records built from outside values, and the formulas, take exact scalars only.
 
-Anything else, including a value equal to a valid one, is a TypeError that
-names the field: a float, a bool, a str, a Decimal or a Fraction subclass
-would otherwise be stored or computed with and reach a certificate.
+`ChernVector`, `PolarizedCY3`, `CurveBound` and `Candidate` check their scalar
+fields, and the formulas in the tables below (on Chern vectors, the geometry,
+slopes, the slope windows and the case bounds) check their scalar arguments:
+each is exactly an int or a Fraction. Anything else, including a value equal
+to a valid one, is a TypeError that names the field: a float, a bool, a str,
+a Decimal or a Fraction subclass would otherwise be stored or computed with
+and reach a certificate. The parts of a certificate and the reports
+(`Case2Row`, `Case3Trace`, `Certificate` and the like) do not check their
+fields: only the package builds them, from values already checked.
 """
 
 from decimal import Decimal
