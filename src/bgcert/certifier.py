@@ -237,8 +237,10 @@ def check_ineq_1_2(ch: ChernVector) -> IneqReport:
     """ch3 <= ch2H / (3 ch0) for positive-rank classes."""
     if ch.ch0 <= 0:
         raise ZeroRank(f"rank must be positive, got {ch.ch0}")
-    rhs = ch.ch2H / (3 * ch.ch0)
-    return IneqReport(ch.ch3, rhs, ch.ch3 <= rhs, ch.ch3 == rhs)
+    # With ch2H = a/b and ch3 = x/y, rhs = a / (3 b ch0), and ch3 <= rhs is 3 b ch0 x <= a y.
+    a, b, x, y = ch.ch2H.numerator, ch.ch2H.denominator, ch.ch3.numerator, ch.ch3.denominator
+    left, right = 3 * b * ch.ch0 * x, a * y
+    return IneqReport(ch.ch3, Fraction(a, 3 * b * ch.ch0), left <= right, left == right)
 
 
 # ---------------------------------------------------------------------------

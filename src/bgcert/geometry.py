@@ -204,7 +204,12 @@ def load_geometry_config(path) -> dict:
         os.close(fd)
     if len(raw) > CONFIG_MAX_BYTES:
         raise ConfigError(f"config {path}: longer than the cap of {CONFIG_MAX_BYTES} bytes")
-    text = raw.decode("utf-8-sig")
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as error:
+        at = error.start + len(raw) - len(error.object)  # the codec counts from after a BOM
+        raise ConfigError(f"config {path}: not UTF-8: byte 0x{raw[at]:02x} at position {at}: "
+                          f"{error.reason}") from None
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:

@@ -7,7 +7,9 @@ every scalar field of `ChernVector`, `PolarizedCY3`, `CurveBound` and
 or the case bounds, is exactly an `int` or a `Fraction` (checked by
 `exact_int` and `exact_rational`; anything else is a TypeError naming the
 field). The certificate's parts and the other reports do not check: only the
-package builds them, from checked values. A degree d has its own check,
+package builds them, from checked values. Nor do `ChernVector` sums,
+differences, negatives, multiples and duals: int and Fraction operations on
+checked fields are exact by construction. A degree d has its own check,
 `geometry.check_degree`, a ValueError.
 `Record`, the base of every immutable record, and `to_jsonable`, the one JSON
 serializer, live here so every module can use them. A record declares its

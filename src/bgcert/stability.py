@@ -6,7 +6,8 @@ normalization at B = 0, omega = t*H is
 
     nu_t(ch) = (ch2H - t^2 d ch0 / 6) / (c1 t d)
 
-with +infinity on c1 = 0 classes (the torsion part of the tilted heart).
+with +infinity on c1 = 0 classes (the torsion part of the tilted heart). Its
+sign is decided in integers; a Fraction is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ def slope_mu(geom, ch: ChernVector) -> ExtendedRational:
 
 
 def bg_discriminant(geom, ch: ChernVector) -> Fraction:
-    """(ch1^2 - 2 ch0 ch2).H = c1^2 d - 2 ch0 ch2H."""
-    return ch.c1 ** 2 * geom.d - 2 * ch.ch0 * ch.ch2H
+    """(ch1^2 - 2 ch0 ch2).H = c1^2 d - 2 ch0 ch2H; with ch2H = a/b, (c1^2 d b - 2 ch0 a) / b."""
+    a, b = ch.ch2H.numerator, ch.ch2H.denominator
+    return Fraction(ch.c1 * ch.c1 * geom.d * b - 2 * ch.ch0 * a, b)
 
 
 def bg_ok(geom, ch: ChernVector) -> bool:
@@ -37,30 +39,35 @@ def bg_ok(geom, ch: ChernVector) -> bool:
     return bg_discriminant(geom, ch) >= 0
 
 
-def tilt_slope_nu(geom, ch: ChernVector, t) -> ExtendedRational:
-    """Tilt slope at scale t > 0; +inf when c1 = 0, an ordinary signed rational otherwise.
+def _nu_pair(geom, ch: ChernVector, t) -> tuple[int, int] | None:
+    """nu_t(ch) as integers (n, m) with m > 0, or None for +inf (c1 = 0); checks t.
 
-    nu_t(ch) = (ch2H - t^2 d ch0 / 6) / (c1 t d), computed in integers: with
-    ch2H = a/b and t = p/q it is (6 a q^2 - b p^2 d ch0) / (6 b q p c1 d),
-    normalized once by Fraction.
+    With ch2H = a/b and t = p/q, nu is (6 a q^2 - b p^2 d ch0) / (6 b q p c1 d).
     """
     t = exact_rational(t, "t")
-    if t <= 0:
+    p, q = t.numerator, t.denominator
+    if p <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if ch.c1 == 0:
-        return INFINITY
+        return None
     a, b = ch.ch2H.numerator, ch.ch2H.denominator
-    p, q = t.numerator, t.denominator
-    d = geom.d
-    return Fraction(6 * a * q * q - b * p * p * d * ch.ch0, 6 * b * q * p * ch.c1 * d)
+    n = 6 * a * q * q - b * p * p * geom.d * ch.ch0
+    m = 6 * b * q * p * ch.c1 * geom.d
+    return (n, m) if m > 0 else (-n, -m)
+
+
+def tilt_slope_nu(geom, ch: ChernVector, t) -> ExtendedRational:
+    """Tilt slope at scale t > 0: +inf when c1 = 0, else one Fraction of _nu_pair's integers."""
+    nu = _nu_pair(geom, ch, t)
+    return INFINITY if nu is None else Fraction(nu[0], nu[1])
 
 
 def nu_zero_tsq(geom, ch: ChernVector) -> Fraction:
-    """The unique t^2 > 0 where the tilt slope vanishes: 6 ch2H / (d ch0)."""
+    """The unique t^2 > 0 where the tilt slope vanishes: 6 ch2H / (d ch0) = 6a / (b d ch0)."""
     if ch.ch0 == 0:
         raise ZeroRank("tilt-slope root undefined at rank zero")
-    value = 6 * ch.ch2H / (geom.d * ch.ch0)
-    if value <= 0:
+    value = Fraction(6 * ch.ch2H.numerator, ch.ch2H.denominator * geom.d * ch.ch0)
+    if value.numerator <= 0:
         raise NoPositiveRoot(
             f"ch2H/ch0 = {Fraction(ch.ch2H, ch.ch0)} <= 0: the tilt slope has no positive root"
         )
@@ -79,9 +86,11 @@ def sandwich_check(geom, ch_sub: ChernVector, ch_quot: ChernVector, t) -> Sandwi
     checked on both sides all the same. Both ch2.H numbers are reported so
     the caller can confirm positivity on ordered inputs.
     """
-    # nu is homogeneous of degree 0, so nu(-sub) = nu(sub) and no negated vector is built.
-    left_ok = tilt_slope_nu(geom, ch_sub, t) <= 0 or ch_sub.is_zero()
-    right_ok = tilt_slope_nu(geom, ch_quot, t) >= 0 or ch_quot.is_zero()
+    # nu(-sub) = nu(sub) (nu is homogeneous of degree 0), and only signs are read. On c1 = 0,
+    # nu = +inf: the left side fails unless sub is the zero class, and the right side holds.
+    sub, quot = _nu_pair(geom, ch_sub, t), _nu_pair(geom, ch_quot, t)
+    left_ok = ch_sub.is_zero() if sub is None else sub[0] <= 0
+    right_ok = quot is None or quot[0] >= 0
     return SandwichReport(left_ok and right_ok, ch_sub.ch2H, ch_quot.ch2H)
 
 

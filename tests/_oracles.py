@@ -12,10 +12,21 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 from bgcert.certifier import Case1Trace, candidate_rows
 from bgcert.chern import ChernVector
+from bgcert.errors import BgcertError, NoPositiveRoot, ZeroRank
 from bgcert.geometry import PolarizedCY3
+
+
+def outcome(call, *args):
+    """(the value, its exact type), or (the type, the message) of the package error it raises."""
+    try:
+        value = call(*args)
+    except BgcertError as error:
+        return type(error), str(error)
+    return value, type(value)
 
 
 # --- truncated power series in one variable h, coefficients exact -----------
@@ -37,20 +48,26 @@ def series_inv(a, deg=3):
     return out
 
 
-def ci_chern_numbers(n, degrees):
-    """(H^3, c2(X).H) for a 3-dimensional complete intersection in P^n.
+def ci_chern_numbers(n, degrees, weights=None):
+    """(H^3, c2(X).H) for a 3-dimensional complete intersection in weighted P^n.
 
-    Expands c(P^n) / prod(1 + deg_i h) and pairs the h^2 coefficient with H.
+    Expands c = prod(1 + w_j h) / prod(1 + deg_i h) over the weights w_0 .. w_n
+    (all 1 by default: ordinary P^n) and pairs the h^2 coefficient with H,
+    where H^3 = prod(deg_i) / prod(w_j). The sums of weights and degrees agree,
+    so c1 = 0.
     """
-    assert n - len(degrees) == 3
+    weights = [1] * (n + 1) if weights is None else list(weights)
+    assert n - len(degrees) == 3 and len(weights) == n + 1
+    assert sum(weights) == sum(degrees)
     total = [Q(1)]
-    for _ in range(n + 1):
-        total = series_mul(total, [Q(1), Q(1), Q(0), Q(0)])
+    for w in weights:
+        total = series_mul(total, [Q(1), Q(w), Q(0), Q(0)])
     denom = [Q(1)]
     for dg in degrees:
         denom = series_mul(denom, [Q(1), Q(dg), Q(0), Q(0)])
     c = series_mul(total, series_inv(denom))
-    d = math.prod(degrees)
+    assert c[1] == 0
+    d = Q(math.prod(degrees), math.prod(weights))
     return d, c[2] * d
 
 
@@ -116,6 +133,44 @@ def fraction_tilt_slope_nu(d, ch, t):
         return None
     numerator = ch.ch2H - t * t * Q(d * ch.ch0, 6)
     return numerator / (ch.c1 * t * d)
+
+
+def fraction_nu_zero_tsq(d, ch):
+    """6 ch2H / (d ch0), the positive t^2 where nu vanishes."""
+    if ch.ch0 == 0:
+        raise ZeroRank("tilt-slope root undefined at rank zero")
+    value = 6 * ch.ch2H / (d * ch.ch0)
+    if value <= 0:
+        raise NoPositiveRoot(
+            f"ch2H/ch0 = {Q(ch.ch2H, ch.ch0)} <= 0: the tilt slope has no positive root"
+        )
+    return value
+
+
+def fraction_bg_discriminant(d, ch):
+    """c1^2 d - 2 ch0 ch2H."""
+    return ch.c1 ** 2 * d - 2 * ch.ch0 * ch.ch2H
+
+
+def fraction_sandwich_ordered(d, sub, quot, t):
+    """nu(-sub) <= 0 <= nu(quot), on the negated fields of sub; +infinity (None) is
+    >= 0 and not <= 0, and a zero class orders its side vacuously."""
+    shifted = SimpleNamespace(ch0=-sub.ch0, c1=-sub.c1, ch2H=-sub.ch2H)
+    left, right = fraction_tilt_slope_nu(d, shifted, t), fraction_tilt_slope_nu(d, quot, t)
+
+    def zero(ch):
+        return ch.ch0 == 0 and ch.c1 == 0 and ch.ch2H == 0 and ch.ch3 == 0
+
+    left_ok = (left is not None and left <= 0) or zero(sub)
+    return left_ok and (right is None or right >= 0 or zero(quot))
+
+
+def fraction_check_ineq_1_2(ch):
+    """(ch3, ch2H / (3 ch0), ch3 <= it, ch3 == it) for ch0 > 0."""
+    if ch.ch0 <= 0:
+        raise ZeroRank(f"rank must be positive, got {ch.ch0}")
+    rhs = ch.ch2H / (3 * ch.ch0)
+    return ch.ch3, rhs, ch.ch3 <= rhs, ch.ch3 == rhs
 
 
 def fraction_chern_classes(d, ch):

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from _oracles import (
     affine_dominates,
     affine_value,
+    ci_chern_numbers,
     fraction_case2_row,
     fraction_case3_bound,
     fraction_case3_trace,
+    fraction_check_ineq_1_2,
     fraction_ext1_cap,
     naive_candidates,
+    outcome,
     scan_case1_trace,
 )
 from bgcert.certifier import (
@@ -35,6 +38,7 @@ from bgcert.certifier import (
     check_ineq_1_2,
     enumerate_candidates,
     ext1_cap,
+    hypothesis_checks,
     min_positive_ch2H,
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
@@ -430,6 +434,26 @@ def test_check_ineq_examples():
         check_ineq_1_2(ChernVector(0, 1, Q(1), Q(1)))
 
 
+_ineq_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=48)
+
+
+@given(st.one_of(
+    st.builds(ChernVector, st.integers(-10, 10), st.integers(-10, 10), _ineq_rationals, _ineq_rationals),
+    # ch3 at, or a twelfth off, the right side ch2H / (3 ch0)
+    st.builds(lambda r, c1, ch2H, k: ChernVector(r, c1, ch2H, ch2H / (3 * r) + Q(k, 12)),
+              st.integers(1, 10), st.integers(-10, 10), _ineq_rationals, st.integers(-1, 1)),
+))
+def test_ineq_kernel_matches_fraction_oracle(ch):
+    # a rank <= 0 is ZeroRank with its message; otherwise every field and its exact type agree
+    got, expected = outcome(check_ineq_1_2, ch), outcome(fraction_check_ineq_1_2, ch)
+    if got[0] is ZeroRank:
+        assert got == expected
+    else:
+        fields = (got[0].lhs, got[0].rhs, got[0].holds, got[0].equality)
+        assert fields == expected[0]
+        assert [type(x) for x in fields] == [type(x) for x in expected[0]] == [Q, Q, bool, bool]
+
+
 @given(geometries, st.integers(0, 30))
 def test_ineq_on_point_constructors(geom, length):
     report = check_ineq_1_2(ideal_twist_point_ch(geom.d, length))
@@ -571,3 +595,50 @@ def test_certificate_serialization():
     _assert_rationals_are_strings(report)
     # JSON-compatible end to end
     assert json.loads(json.dumps(report)) == report
+
+
+# --- a real-geometry corpus: the one-parameter complete intersections in weighted P^n ---------
+
+# (weights, degrees) -> d, c2.H, the mode "auto" picks, the worst Case 3 bound, the verdict with
+# castelnuovo_known false (true turns CONDITIONAL into CERTIFIED_STRICT and keeps HYPOTHESIS_FAIL).
+_FULL, _EVEN = HypothesisMode.FULL, HypothesisMode.EVEN
+_COND, _FAIL = Verdict.CONDITIONAL, Verdict.HYPOTHESIS_FAIL
+WEIGHTED_CY3_FAMILIES = [
+    ((1, 1, 1, 1, 1), (5,), 5, 50, _FULL, Q(-7, 6), _COND),
+    ((1, 1, 1, 1, 2), (6,), 3, 42, _FULL, Q(-5, 2), _COND),
+    ((1, 1, 1, 1, 4), (8,), 2, 44, _FULL, Q(-14, 3), _COND),
+    ((1, 1, 1, 2, 5), (10,), 1, 34, _FULL, Q(-23, 6), _COND),
+    ((1, 1, 1, 1, 1, 1), (3, 3), 9, 54, _FULL, Q(5, 2), _FAIL),
+    ((1, 1, 1, 1, 1, 1), (4, 2), 8, 56, _EVEN, Q(-8, 3), _COND),
+    ((1, 1, 1, 1, 1, 1, 1), (3, 2, 2), 12, 60, _EVEN, Q(-1), _COND),
+    ((1, 1, 1, 1, 1, 1, 1, 1), (2, 2, 2, 2), 16, 64, _EVEN, Q(2, 3), _FAIL),
+    ((1, 1, 1, 1, 1, 2), (4, 3), 6, 48, _FULL, Q(-3), _COND),  # on the full boundary 12d - 24
+    ((1, 1, 1, 1, 1, 3), (6, 2), 4, 52, _FULL, Q(-13, 3), _COND),
+    ((1, 1, 1, 1, 2, 2), (4, 4), 4, 40, _FULL, Q(-10, 3), _COND),
+    ((1, 1, 1, 2, 2, 3), (6, 4), 2, 32, _FULL, Q(-11, 3), _COND),
+    ((1, 1, 2, 2, 3, 3), (6, 6), 1, 22, _FULL, Q(-17, 6), _COND),
+]
+
+
+@pytest.mark.parametrize("weights, degrees, d, c2H, mode, worst, verdict", WEIGHTED_CY3_FAMILIES,
+                         ids=[f"{w}-{g}" for w, g, *_ in WEIGHTED_CY3_FAMILIES])
+def test_weighted_complete_intersection_corpus(weights, degrees, d, c2H, mode, worst, verdict):
+    assert ci_chern_numbers(len(weights) - 1, degrees, weights) == (d, c2H)
+    for known in (False, True):
+        cert = certify_theorem(PolarizedCY3.derive(d, c2H, known))
+        assert cert.hypothesis_mode is mode and cert.case3.worst_bound == worst
+        assert cert.verdict is (Verdict.CERTIFIED_STRICT if known and verdict is _COND else verdict)
+        assert cert.hypothesis_ok is (verdict is _COND)
+
+
+@given(st.integers(1, 400), st.integers(1, 400))
+def test_hypotheses_and_worst_bound_in_c2H(d, k):
+    # chi(O(H)) = k, so c2.H = 12 k - 2 d; dim|H| = d/6 + c2.H/12 - 1
+    c2H = 12 * k - 2 * d
+    geom = PolarizedCY3.derive(d, c2H)
+    full, even = hypothesis_checks(geom)
+    assert full.holds is (c2H >= 12 * d - 24)
+    assert even.holds is (d % 2 == 0 and c2H >= 6 * d - 24)
+    worst = _case3_trace(geom).worst_bound
+    assert worst == (d if d % 2 else Q(d, 2)) - Q(c2H, 12) - 2
+    assert (worst <= 0) is (full.holds or even.holds)

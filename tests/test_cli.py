@@ -537,7 +537,17 @@ def test_config_file_not_utf8_is_exit_3(capsys, tmp_path):
     path.write_bytes("d = 5\nc2h = 50  # caf\u00e9\n".encode("latin-1"))
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert code == 3 and out == ""
-    assert err.startswith("error: UnicodeDecodeError: 'utf-8' codec") and err.count("\n") == 1
+    assert err == (f"error: ConfigError: config {path}: not UTF-8: byte 0xe9 at position 21: "
+                   "invalid continuation byte\n")
+
+
+def test_config_file_not_utf8_after_a_bom_counts_the_bom(capsys, tmp_path):
+    path = tmp_path / "geom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfd = 5\n\xff")
+    code, out, err = run(capsys, "geom", "--config", str(path))
+    assert (code, out) == (3, "")
+    assert err == (f"error: ConfigError: config {path}: not UTF-8: byte 0xff at position 9: "
+                   "invalid start byte\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")

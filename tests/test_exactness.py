@@ -15,6 +15,8 @@ from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bgcert import (
     Candidate,
@@ -24,6 +26,7 @@ from bgcert import (
     case3_bound,
     ch_from_chern_classes,
     derive_dimH,
+    dual_ch,
     ext1_cap,
     extend_by_trivial,
     ideal_twist_curve_ch,
@@ -130,3 +133,22 @@ def test_exact_rational_keeps_a_fraction_and_turns_an_int_into_one():
     q = Q(5, 2)
     assert exact_rational(q, "q") is q
     assert type(exact_rational(5, "q")) is Q and exact_rational(5, "q") == 5
+
+
+# Built by the public constructor, which turns an int ch2H or ch3 into a Fraction.
+_vectors = st.builds(ChernVector, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                     st.integers(-9, 9) | st.fractions(max_denominator=60),
+                     st.integers(-9, 9) | st.fractions(max_denominator=60))
+
+
+@given(_vectors, _vectors, st.integers(-10**6, 10**6))
+def test_vector_arithmetic_fields_are_exact_without_a_recheck(a, b, k):
+    # The arithmetic and dual_ch skip the constructor's checks: int and Fraction
+    # operations on checked fields give exactly int, int, Fraction, Fraction.
+    for result in (a + b, a - b, -a, a * k, k * a, dual_ch(a)):
+        assert type(result) is ChernVector
+        assert [type(value) for value in result._values()] == [int, int, Q, Q]
+    for bad in (True, 1.0):
+        for product in (lambda: a * bad, lambda: bad * a):
+            with pytest.raises(TypeError, match="^k must be an int"):
+                product()

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import fraction_tilt_slope_nu, naive_lemma1_window, naive_lemma2_window
+from _oracles import (
+    fraction_bg_discriminant,
+    fraction_nu_zero_tsq,
+    fraction_sandwich_ordered,
+    fraction_tilt_slope_nu,
+    naive_lemma1_window,
+    naive_lemma2_window,
+    outcome,
+)
 from bgcert.chern import ZERO, ChernVector, extend_by_trivial, line_bundle_ch, quotient_by_trivial
 from bgcert.errors import NegativeRank, NoPositiveRoot, ZeroRank
 from bgcert.geometry import PolarizedCY3, from_preset
@@ -31,6 +39,9 @@ positive_t = st.fractions(min_value=Q(1, 12), max_value=12, max_denominator=24)
 # every degree d; c2XH = 12 k - 2 d keeps chi(O(H)) = k an integer
 geometries = st.builds(lambda d, k: PolarizedCY3.derive(d, 12 * k - 2 * d),
                        st.integers(1, 60), st.integers(1, 20))
+# t as an int, a small fraction or a large-denominator one
+any_t = st.one_of(st.integers(1, 30), positive_t,
+                  st.builds(Q, st.integers(1, 500), st.integers(1, 500)))
 
 
 # --- extended rationals ---------------------------------------------------------
@@ -159,6 +170,35 @@ def test_nu_zero_tsq_examples():
         nu_zero_tsq(QUINTIC, ChernVector(0, 1, Q(1), Q(0)))
 
 
+rank_zero = st.builds(ChernVector, st.just(0), st.integers(-3, 3), rationals, rationals)
+
+
+@given(geometries, vectors | rank_zero)
+def test_nu_zero_tsq_kernel_matches_fraction_oracle(geom, ch):
+    # a negative rank, ch2H <= 0 (NoPositiveRoot) and rank zero (ZeroRank), messages included
+    got, expected = outcome(nu_zero_tsq, geom, ch), outcome(fraction_nu_zero_tsq, geom.d, ch)
+    assert got == expected
+    assert got[1] is Q or got[0] in (NoPositiveRoot, ZeroRank)
+
+
+def test_nu_zero_tsq_errors_match_fraction_oracle():
+    no_root = "<= 0: the tilt slope has no positive root"
+    for ch, expected in [
+        (ChernVector(0, 1, Q(1), Q(0)), (ZeroRank, "tilt-slope root undefined at rank zero")),
+        (ChernVector(-2, 1, Q(1), Q(0)), (NoPositiveRoot, f"ch2H/ch0 = -1/2 {no_root}")),
+        (ChernVector(3, -1, Q(0), Q(0)), (NoPositiveRoot, f"ch2H/ch0 = 0 {no_root}")),
+        (ChernVector(-2, 1, Q(-5, 2), Q(0)), (Q(3, 2), Q)),  # both negative: a positive root
+    ]:
+        assert outcome(nu_zero_tsq, QUINTIC, ch) == outcome(fraction_nu_zero_tsq, 5, ch) == expected
+
+
+@given(geometries, vectors)
+def test_bg_kernel_matches_fraction_oracle(geom, ch):
+    value, expected = bg_discriminant(geom, ch), fraction_bg_discriminant(geom.d, ch)
+    assert type(value) is type(expected) is Q and value == expected
+    assert bg_ok(geom, ch) is (expected >= 0)
+
+
 def test_nu_vanishes_exactly_at_its_root():
     # rigged so the root t^2 = 6 ch2H / (d ch0) is a perfect square
     ch = ChernVector(1, 1, Q(10, 3), Q(0))  # t^2 = 4 on the quintic
@@ -174,8 +214,7 @@ def test_nu_homogeneity_degree_zero(ch, t, k):
     assert tilt_slope_nu(QUINTIC, k * ch, t) == tilt_slope_nu(QUINTIC, ch, t)
 
 
-@given(geometries, vectors,
-       st.one_of(st.integers(1, 30), positive_t, st.builds(Q, st.integers(1, 500), st.integers(1, 500))))
+@given(geometries, vectors, any_t)
 def test_nu_kernel_matches_fraction_oracle(geom, ch, t):
     value = tilt_slope_nu(geom, ch, t)
     expected = fraction_tilt_slope_nu(geom.d, ch, t)
@@ -220,6 +259,30 @@ def test_sandwich_ordered_case():
     report = sandwich_check(QUINTIC, sub, quot, 1)
     assert report.ordered
     assert report.ch2H_sub > 0 and report.ch2H_quot > 0
+
+
+@given(geometries, st.one_of(vectors, st.just(ZERO)), st.one_of(vectors, st.just(ZERO)), any_t)
+def test_sandwich_sign_test_matches_fraction_oracle(geom, sub, quot, t):
+    # negative ranks and c1, c1 = 0 (+inf) and the zero class on either side
+    ordered = sandwich_check(geom, sub, quot, t).ordered
+    assert type(ordered) is bool and ordered == fraction_sandwich_ordered(geom.d, sub, quot, t)
+
+
+def test_sandwich_sign_test_at_its_boundary():
+    # nu = 0 orders both sides; nu = -1/6 and 1/6 (numerators -1 and 1) each order only one,
+    # and so does +inf
+    root = ChernVector(1, 1, Q(10, 3), Q(0))
+    assert tilt_slope_nu(QUINTIC, root, 2) == 0
+    assert sandwich_check(QUINTIC, root, root, 2).ordered
+    d1 = PolarizedCY3.derive(1, 10)
+    below, above = ChernVector(1, 1, Q(0), Q(0)), ChernVector(-1, 1, Q(0), Q(0))
+    assert (tilt_slope_nu(d1, below, 1), tilt_slope_nu(d1, above, 1)) == (Q(-1, 6), Q(1, 6))
+    assert sandwich_check(d1, below, above, 1).ordered
+    assert not sandwich_check(d1, above, above, 1).ordered
+    assert not sandwich_check(d1, below, below, 1).ordered
+    torsion = ChernVector(0, 0, Q(1), Q(0))  # c1 = 0 but not the zero class: nu = +inf
+    assert sandwich_check(d1, below, torsion, 1).ordered
+    assert not sandwich_check(d1, torsion, ZERO, 1).ordered  # +inf is not <= 0
 
 
 @given(vectors, vectors, positive_t, st.integers(1, 6))
