@@ -218,11 +218,13 @@ def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
 
     ch2H depends on c2H alone, so each value is built once per c2H and the
     same (immutable) Fraction is shared by the candidates of every rank.
+    No field is checked: the ranges give r >= 1, c2H >= 0 and c2H < (d+1)//2, so ch2H > 0.
     """
     d = geom.d
     rows = candidate_rows(d)
     ch2H = [Fraction(d - 2 * c, 2) for c in range((d + 1) // 2)]
-    return [Candidate(r, c, ch2H[c]) for r, c in rows]
+    trusted = Candidate._trusted
+    return [trusted(r, c, ch2H[c]) for r, c in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +327,5 @@ def certify_theorem(
         asserted = status is CastelnuovoStatus.ASSERTED
         verdict = Verdict.CERTIFIED_STRICT if asserted else Verdict.CONDITIONAL
 
-    return Certificate(
-        geometry=geom,
-        hypothesis_mode=hypothesis.mode,
-        hypothesis=hypothesis,
-        hypothesis_ok=hypothesis_ok,
-        castelnuovo_status=status,
-        case1=case1,
-        case2=tuple(rows),
-        case3=case3,
-        candidates=candidates,
-        violated_betas=violated,
-        verdict=verdict,
-    )
+    return Certificate(geom, hypothesis.mode, hypothesis, hypothesis_ok, status,
+                       case1, tuple(rows), case3, candidates, violated, verdict)

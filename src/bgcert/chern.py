@@ -27,32 +27,30 @@ class ChernVector(Record):
         super().__init__(exact_int(ch0, "ch0"), exact_int(c1, "c1"),
                          exact_rational(ch2H, "ch2H"), exact_rational(ch3, "ch3"))
 
+    # Record._trusted: int and Fraction operations on checked fields are exact.
     def __add__(self, other: "ChernVector") -> "ChernVector":
-        return _unchecked(self.ch0 + other.ch0, self.c1 + other.c1,
-                          self.ch2H + other.ch2H, self.ch3 + other.ch3)
+        if not isinstance(other, ChernVector):
+            return NotImplemented
+        return ChernVector._trusted(self.ch0 + other.ch0, self.c1 + other.c1,
+                                    self.ch2H + other.ch2H, self.ch3 + other.ch3)
 
     def __sub__(self, other: "ChernVector") -> "ChernVector":
-        return _unchecked(self.ch0 - other.ch0, self.c1 - other.c1,
-                          self.ch2H - other.ch2H, self.ch3 - other.ch3)
+        if not isinstance(other, ChernVector):
+            return NotImplemented
+        return ChernVector._trusted(self.ch0 - other.ch0, self.c1 - other.c1,
+                                    self.ch2H - other.ch2H, self.ch3 - other.ch3)
 
     def __neg__(self) -> "ChernVector":
-        return _unchecked(-self.ch0, -self.c1, -self.ch2H, -self.ch3)
+        return ChernVector._trusted(-self.ch0, -self.c1, -self.ch2H, -self.ch3)
 
     def __mul__(self, k: int) -> "ChernVector":
         exact_int(k, "k")
-        return _unchecked(self.ch0 * k, self.c1 * k, self.ch2H * k, self.ch3 * k)
+        return ChernVector._trusted(self.ch0 * k, self.c1 * k, self.ch2H * k, self.ch3 * k)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.c1 == 0 and self.ch2H == 0 and self.ch3 == 0
-
-
-def _unchecked(ch0: int, c1: int, ch2H: Fraction, ch3: Fraction) -> ChernVector:
-    """A vector of fields exact by construction (int and Fraction operations on checked ones)."""
-    vector = object.__new__(ChernVector)
-    Record.__init__(vector, ch0, c1, ch2H, ch3)
-    return vector
 
 
 ZERO = ChernVector(0, 0, Fraction(0), Fraction(0))
@@ -110,7 +108,7 @@ def quotient_by_trivial(ch: ChernVector, m: int) -> ChernVector:
 
 def dual_ch(ch: ChernVector) -> ChernVector:
     """Derived dual: odd-degree components flip sign."""
-    return _unchecked(ch.ch0, -ch.c1, ch.ch2H, -ch.ch3)
+    return ChernVector._trusted(ch.ch0, -ch.c1, ch.ch2H, -ch.ch3)
 
 
 def triangle_ch(ch_sub: ChernVector, ch_quot: ChernVector) -> ChernVector:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -32,20 +33,21 @@ def check_degree(d: int) -> None:
 def derive_dimH(d: int, c2XH: int) -> int:
     """dim|H| from Riemann-Roch with Kodaira vanishing: d/6 + c2XH/12 - 1.
 
-    Raises NonIntegralGeometry when chi(O(H)) is not an integer and
+    In integers, 12 chi(O(H)) = 2d + c2XH. Raises NonIntegralGeometry when
+    chi(O(H)) is not an integer (12 does not divide 2d + c2XH) and
     NegativeLinearSystem when the derived dimension would be negative.
     """
     check_degree(d)
-    chi = Fraction(d, 6) + Fraction(exact_int(c2XH, "c2XH"), 12)
-    if chi.denominator != 1:
-        raise NonIntegralGeometry(
-            f"chi(O(H)) = {chi} is not an integer for fields d={d}, c2h={c2XH}"
-        )
+    twelve_chi = 2 * d + exact_int(c2XH, "c2XH")
+    if twelve_chi % 12:
+        raise NonIntegralGeometry(f"chi(O(H)) = {Fraction(twelve_chi, 12)} is not an integer "
+                                  f"for fields d={d}, c2h={c2XH}")
+    chi = twelve_chi // 12
     if chi < 1:
         raise NegativeLinearSystem(
             f"chi(O(H)) = {chi} gives dim|H| = {chi - 1} < 0 for fields d={d}, c2h={c2XH}"
         )
-    return int(chi) - 1
+    return chi - 1
 
 
 class PolarizedCY3(Record):
@@ -216,6 +218,9 @@ def load_geometry_config(path) -> dict:
         pass  # not JSON: read the line format below
     except RecursionError:
         raise ConfigError(f"config {path}: JSON nested too deeply") from None
+    except ValueError:  # the one other ValueError of json.loads: int's digit limit
+        raise ConfigError(f"config {path}: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     else:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path}: expected a JSON object")

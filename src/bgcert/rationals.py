@@ -7,10 +7,12 @@ every scalar field of `ChernVector`, `PolarizedCY3`, `CurveBound` and
 or the case bounds, is exactly an `int` or a `Fraction` (checked by
 `exact_int` and `exact_rational`; anything else is a TypeError naming the
 field). The certificate's parts and the other reports do not check: only the
-package builds them, from checked values. Nor do `ChernVector` sums,
-differences, negatives, multiples and duals: int and Fraction operations on
-checked fields are exact by construction. A degree d has its own check,
-`geometry.check_degree`, a ValueError.
+package builds them, from checked values. Two builders of checked records skip
+the checks through `Record._trusted`, the one trusted constructor, as their
+fields are exact by construction: `ChernVector` sums, differences, negatives,
+multiples and duals (int and Fraction operations on checked fields), and
+`enumerate_candidates` (its ranges give r >= 1, c2H >= 0 and d/2 - c2H > 0).
+A degree d has its own check, `geometry.check_degree`, a ValueError.
 `Record`, the base of every immutable record, and `to_jsonable`, the one JSON
 serializer, live here so every module can use them. A record declares its
 fields once, as `__slots__` in declaration order, and the base `__init__`
@@ -91,19 +93,31 @@ def to_jsonable(value):
 class Record:
     """Base of the immutable records. A record's fields are its `__slots__`, in
     declaration order. `Record.__init__` takes them positionally or by keyword
-    and sets each once; a record with checks validates its fields in its own
-    `__init__` and then calls this one. Records compare and hash field by
+    and sets each once, through the slots' setters, which are found once per
+    class when it is defined; a record with checks validates its fields in its
+    own `__init__` and then calls this one. Records compare and hash field by
     field, only with records of the same class."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
     def __init__(self, *values, **named):
-        names = self.__slots__
-        if named or len(values) != len(names):  # every field by position needs no check
+        setters = self._setters
+        if named or len(values) != len(setters):  # every field by position needs no check
             values = self._all_values(values, named)
-        setfield = object.__setattr__
-        for name, value in zip(names, values):
-            setfield(self, name, value)
+        for setfield, value in zip(setters, values):
+            setfield(self, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of values exact by construction, by position, with no field checks."""
+        record = object.__new__(cls)
+        for setfield, value in zip(cls._setters, values):
+            setfield(record, value)
+        return record
 
     @classmethod
     def _all_values(cls, values: tuple, named: dict) -> tuple:

@@ -16,8 +16,15 @@ from types import SimpleNamespace
 
 from bgcert.certifier import Case1Trace, candidate_rows
 from bgcert.chern import ChernVector
-from bgcert.errors import BgcertError, NoPositiveRoot, ZeroRank
-from bgcert.geometry import PolarizedCY3
+from bgcert.errors import (
+    BgcertError,
+    NegativeLinearSystem,
+    NonIntegralGeometry,
+    NoPositiveRoot,
+    ZeroRank,
+)
+from bgcert.geometry import PolarizedCY3, check_degree
+from bgcert.rationals import exact_int
 
 
 def outcome(call, *args):
@@ -192,6 +199,25 @@ def fraction_ch_from_classes(d, ch0, c1, c2H, c3):
 def fraction_euler_characteristic(c2XH, ch):
     """chi = ch3 + c1 c2(X).H / 12."""
     return ch.ch3 + Q(ch.c1 * c2XH, 12)
+
+
+# --- Riemann-Roch as first written: a Fraction chain --------------------------------
+# The reference for derive_dimH, which decides in integers on 12 chi = 2d + c2XH.
+
+def fraction_derive_dimH(d, c2XH):
+    """dim|H| = chi(O(H)) - 1 with chi(O(H)) = d/6 + c2XH/12, and the package's
+    errors, in the package's order: the degree, c2XH's type, integrality, sign."""
+    check_degree(d)
+    chi = Q(d, 6) + Q(exact_int(c2XH, "c2XH"), 12)
+    if chi.denominator != 1:
+        raise NonIntegralGeometry(
+            f"chi(O(H)) = {chi} is not an integer for fields d={d}, c2h={c2XH}"
+        )
+    if chi < 1:
+        raise NegativeLinearSystem(
+            f"chi(O(H)) = {chi} gives dim|H| = {chi - 1} < 0 for fields d={d}, c2h={c2XH}"
+        )
+    return int(chi) - 1
 
 
 # --- the case analysis as first written: Fraction chains and the affine scan --------

@@ -312,6 +312,8 @@ def test_enumerate_ci24_and_tiny():
 @pytest.mark.parametrize("d", [*range(1, 61), 1999, 2000])
 def test_enumerate_matches_naive_scan(d, monkeypatch):
     geom = PolarizedCY3(d, 12 - 2 * d, 0)
+    # Through the checked constructor: the records enumerate_candidates builds unchecked
+    # have fields its checks accept.
     expected = [Candidate(r, c, Q(d, 2) - c) for r, c in naive_candidates(d)]
     built = []
 
@@ -322,7 +324,7 @@ def test_enumerate_matches_naive_scan(d, monkeypatch):
     monkeypatch.setattr("bgcert.certifier.Fraction", counted_fraction)
     got = enumerate_candidates(geom)
     assert got == expected  # record equality: field for field
-    assert all(type(c.ch2H) is Q for c in got)
+    assert all(type(c) is Candidate and list(map(type, c._values())) == [int, int, Q] for c in got)
     # One Fraction per admissible c2H, shared by the candidates of every rank.
     assert len(built) == (d + 1) // 2 and all(c.ch2H is built[c.c2H] for c in got)
     assert candidate_count(d) == len(got)  # the closed form the limit is checked on

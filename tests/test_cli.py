@@ -469,6 +469,23 @@ def test_config_file_nested_too_deeply(tmp_path):
     assert str(path).encode() in proc.stderr
 
 
+_OVER_THE_DIGIT_LIMIT = "1" + "0" * sys.get_int_max_str_digits()  # int() refuses it
+
+
+@pytest.mark.parametrize("config, message", [
+    (f'{{"d": {_OVER_THE_DIGIT_LIMIT}, "c2h": 50}}',
+     f"config {{path}}: an integer has more than {sys.get_int_max_str_digits()} digits"),
+    (f"d = {_OVER_THE_DIGIT_LIMIT}\nc2h = 50\n",
+     f"field d: expected an integer, got '{_OVER_THE_DIGIT_LIMIT}'"),
+], ids=["json", "lines"])
+def test_config_integer_over_the_digit_limit_is_exit_3(capsys, tmp_path, config, message):
+    path = tmp_path / "geom.cfg"
+    path.write_text(config)
+    code, out, err = run(capsys, "geom", "--config", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: ConfigError: {message.format(path=path)}\n"
+
+
 def test_import_loads_no_code_generating_modules():
     # dataclasses brings in inspect, ast, dis and tokenize, about 30 ms of every process;
     # pathlib brings in urllib.parse and ipaddress. Without `site` nothing imports them first.

@@ -13,6 +13,7 @@ fields: only the package builds them, from values already checked.
 
 from decimal import Decimal
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -152,3 +153,14 @@ def test_vector_arithmetic_fields_are_exact_without_a_recheck(a, b, k):
         for product in (lambda: a * bad, lambda: bad * a):
             with pytest.raises(TypeError, match="^k must be an int"):
                 product()
+
+
+@pytest.mark.parametrize("other", [SimpleNamespace(ch0=1.5, c1=0, ch2H=0, ch3=0), 1, Q(1), None],
+                         ids=["vector-like", "int", "fraction", "none"])
+def test_vector_sum_and_difference_refuse_a_non_vector(other):
+    # Only a checked vector is added: anything else is a TypeError, never a stored 2.5 rank.
+    vector = line_bundle_ch(5, 1)
+    for combine in (lambda: vector + other, lambda: vector - other,
+                    lambda: other + vector, lambda: other - vector):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            combine()

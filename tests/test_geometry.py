@@ -12,6 +12,7 @@ from _oracles import (
     fraction_check_h_assumption,
     fraction_check_h_assumption_even,
     fraction_default_chi_min,
+    fraction_derive_dimH,
     fraction_even_threshold,
     fraction_full_threshold,
 )
@@ -19,6 +20,7 @@ from bgcert.certifier import case2_check, hypothesis_checks, min_positive_ch2H
 from bgcert.chern import line_bundle_ch
 from bgcert.errors import (
     BetaOutOfRange,
+    BgcertError,
     ConfigError,
     InconsistentGeometry,
     NegativeLinearSystem,
@@ -90,6 +92,41 @@ def test_derive_dimh_examples():
         derive_dimH(6, -12)  # chi(O(H)) = 0
     with pytest.raises(ValueError):
         derive_dimH(0, 50)
+
+
+def _result(call, *args):
+    """(the value, its exact type), or (the error type, its message)."""
+    try:
+        value = call(*args)
+    except (BgcertError, ValueError, TypeError) as error:
+        return type(error), str(error)
+    return value, type(value)
+
+
+def _agrees_with_fraction_oracle(d, c2XH, known):
+    got = _result(derive_dimH, d, c2XH)
+    assert got == _result(fraction_derive_dimH, d, c2XH)
+    if got[1] is not int:
+        return got[0]  # the error type
+    assert PolarizedCY3.derive(d, c2XH, known) == PolarizedCY3(d, c2XH, got[0], known)
+    return int
+
+
+def test_derive_dimh_matches_fraction_oracle_on_a_grid():
+    # Every residue of 2d + c2XH mod 12 on both sides of chi(O(H)) = 1, bad types and degrees.
+    outcomes = {_agrees_with_fraction_oracle(d, c2XH, d % 2 == 0)
+                for d in range(-1, 31) for c2XH in range(-90, 91)}
+    assert outcomes == {int, ValueError, NonIntegralGeometry, NegativeLinearSystem}
+    for d in (0, True, 5):
+        for c2XH in (True, 50.0, Q(50), "50"):
+            _agrees_with_fraction_oracle(d, c2XH, False)
+
+
+@given(st.integers(-2, 10**12), st.integers(-10**13, 10**13), st.integers(-1, 12), st.booleans())
+def test_derive_dimh_matches_fraction_oracle_at_scale(d, c2XH, residue, known):
+    if residue >= 0:  # move c2XH to 2d + c2XH = residue mod 12; 0 is a valid geometry when positive
+        c2XH += residue - (2 * d + c2XH) % 12
+    _agrees_with_fraction_oracle(d, c2XH, known)
 
 
 @given(geometries)

@@ -162,18 +162,57 @@ def test_only_records_with_checks_define_init():
 
 
 def test_only_record_init_writes_a_field():
-    # Every field is set in one place, Record.__init__; no module sets one by hand.
+    # Every field is set in one place, the class Record (its __init__ and its trusted
+    # constructor); no module sets one by hand or through a slot's setter.
     package = Path(bgcert.__file__).parent
+    writes = ("object.__setattr__", ".__set__(", "_setters")
     found = []
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        lines = [n for n, line in enumerate(text.splitlines(), 1) if "object.__setattr__" in line]
+        lines = [n for n, line in enumerate(text.splitlines(), 1)
+                 if any(write in line for write in writes)]
         if path.name == "rationals.py":
             record = next(node for node in ast.parse(text).body
                           if isinstance(node, ast.ClassDef) and node.name == "Record")
             lines = [n for n in lines if not record.lineno <= n <= record.end_lineno]
         found += [f"{path.name}:{n}" for n in lines]
     assert found == []
+
+
+@pytest.mark.parametrize("make, text, keys", RECORDS)
+def test_trusted_and_checked_builds_agree(make, text, keys):
+    # Record._trusted skips a checked record's __init__, and builds the same record.
+    record = make()
+    cls = type(record)
+    values = [getattr(record, name) for name in cls.__slots__]
+    trusted, checked = cls._trusted(*values), cls(*values)
+    assert type(trusted) is cls and trusted == checked == record
+    assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked) == text
+    assert to_jsonable(trusted) == to_jsonable(checked)
+    assert [getattr(trusted, name) for name in cls.__slots__] == values
+
+
+def test_a_record_subclass_gets_its_own_setters():
+    class Row(certifier.Case2Row):  # no __slots__ of its own: Case2Row's fields
+        pass
+
+    class Pair(Record):
+        __slots__ = ("beta", "tag")
+
+    class Repair(Pair):  # the same names again: new slots, which Pair's setters do not reach
+        __slots__ = ("beta", "tag")
+
+    values = (1, 0, Q(-1, 6), True, "default")
+    assert Row._setters is not certifier.Case2Row._setters and len(Row._setters) == 5
+    for built in (Row(*values), Row._trusted(*values)):
+        assert type(built) is Row and built._values() == values
+        assert built != certifier.Case2Row(*values)
+        assert repr(built).endswith("Row(beta=1, chi_min=0, ch3_bound=Fraction(-1, 6), "
+                                    "ok=True, source='default')")
+    for built in (Repair(2, "x"), Repair._trusted(2, "x")):
+        assert built._values() == (2, "x") and repr(built).endswith("Repair(beta=2, tag='x')")
+        with pytest.raises(AttributeError):
+            Pair.beta.__get__(built)  # the shadowed slot stays unset
 
 
 @pytest.mark.parametrize("make, text, keys", RECORDS)
