@@ -153,8 +153,8 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 
 # Enumeration and certification refuse a degree with more candidates than
 # this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`,
-# which writes blocks of 256 rows, takes about 0.2 s and 17 MB, but
-# `certify --json`, which holds the whole certificate, takes about 3.5 s and
+# which writes blocks of 256 rows, takes about 0.1 s and 16 MB, but
+# `certify --json`, which holds the whole certificate, takes about 3 s and
 # 250 MB (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 

@@ -8,19 +8,16 @@ verdict). A reader that closes the output early ends the process by SIGPIPE,
 as with other Unix filters.
 
 For geom, certify and eval, the JSON and human renderings are generated from
-the same report value; enumerate writes both, in blocks of 256 rows, from the
-same rank iterator, `certifier.candidate_ranks`. So the two views can never
-disagree.
+the same report value; enumerate writes both from the same rank iterator,
+`certifier.candidate_ranks`, a rank's rows as one C join of its head over their
+tails, 256 rows per write call. So the two views can never disagree.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
-from itertools import chain, islice
-from typing import Iterator
 
 from .certifier import (
     Verdict,
@@ -169,6 +166,7 @@ def _parse_curve_bound(text: str) -> CurveBound:
 
 def _emit(args, report, render) -> None:
     if args.json:
+        import json  # here only: a text command never loads it
         print(json.dumps(report, indent=2))
     else:
         print(render(report))
@@ -229,43 +227,56 @@ def cmd_geom(args) -> int:
 # enumerate
 
 
-def _write_rows(write, rows: Iterator[str]) -> int:
-    """Write the row strings in blocks of _BLOCK_ROWS, one write call per block;
-    return how many rows were written."""
-    n = 0
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        write("".join(block))
-        n += len(block)
-    return n
-
-
 def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
-    """Write the candidates to stdout in blocks of 256 rows from the same rank
-    iterator, in the bytes of one text or json.dumps(indent=2) rendering of the
+    """Write the candidates to stdout in blocks of 256 rows, one write call per
+    block, in the bytes of one text or json.dumps(indent=2) rendering of the
     whole list.
 
-    Each ch2H string is made once per c2H, in integers, as the tail of every
-    row with that c2H. A rank's rows are one run of c2H up to the last, so
-    they are the rank's head joined, in C, to each tail of that run. Memory
-    stays at O(d) while the output grows as d log d.
+    A row is its rank's head and its c2H's tail; the tails are made once, from
+    integers. A rank's rows are one run of c2H up to the last, so they are one
+    C join of the rank's head over the run's tails, cut where a block fills.
+    About half the ranks have the last c2H alone: their rows are one join of
+    the ranks over that tail. So the Python-level work is per rank and per
+    block, none per row. Memory stays at O(d) while the output grows as d log d.
     """
     d = geom.d
     ranks = candidate_ranks(d)  # TooManyCandidates here, before any byte is written
-    # ch2H = (d - 2 c2H)/2: whole for even d, else an odd numerator over 2, in lowest terms.
-    labels = (f"{d - 2 * c}/2" if d % 2 else str(d // 2 - c) for c in range((d + 1) // 2))
-    write = sys.stdout.write
-    if as_json:
-        tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]
-        rows = chain.from_iterable(
-            map(f',\n  {{\n    "r": {r}'.__add__, tails[lo:]) for r, lo in ranks
-        )
-        # (1, 0) is a candidate at every degree, so the list has a first row: it has no comma.
-        _write_rows(write, chain(("[" + next(rows)[1:],), rows))
-        write("\n]\n")
+    stop = (d + 1) // 2
+    # ch2H = (d - 2 c2H)/2: an odd numerator over 2 for odd d, else the whole d/2 - c2H.
+    nums, half = (range(d, 0, -2), "/2") if d % 2 else (range(d // 2, 0, -1), "")
+    if as_json:  # a row ends in the comma before the next one; the last row drops it
+        pre, tail = '\n  {\n    "r": ', ',\n    "c2H": {},\n    "ch2H": "{}' + half + '"\n  }},'
     else:
-        tails = [f", {c})  ch2H = {s}\n" for c, s in enumerate(labels)]
-        rows = chain.from_iterable(map(f"({r}".__add__, tails[lo:]) for r, lo in ranks)
-        write(f"{_write_rows(write, rows)} candidate(s)\n")
+        pre, tail = "(", ", {})  ch2H = {}" + half + "\n"
+    tails = list(map(tail.format, range(stop), nums))
+    write = sys.stdout.write
+    pieces, n = ["["] if as_json else [], 0  # the block not yet written; the rows so far
+    for r, lo in ranks:
+        if lo == stop - 1:
+            break
+        head = pre + str(r)
+        while lo < stop:
+            j = min(stop, lo + _BLOCK_ROWS - n % _BLOCK_ROWS)
+            pieces.append(head + head.join(tails[lo:j]))
+            n += j - lo
+            lo = j
+            if not n % _BLOCK_ROWS:
+                write("".join(pieces))
+                pieces = []
+    # Every rank from r to the last, d // (d - 2 c2H), has the one row (rank, c2H = stop - 1).
+    last, r_max = tails[-1], d // (d - 2 * (stop - 1))
+    while r <= r_max:
+        j = min(r_max + 1, r + _BLOCK_ROWS - n % _BLOCK_ROWS)
+        end = last if j <= r_max else last.rstrip(",")
+        pieces.append(pre + (last + pre).join(map(str, range(r, j))) + end)
+        n += j - r
+        r = j
+        if not n % _BLOCK_ROWS:
+            write("".join(pieces))
+            pieces = []
+    if pieces:
+        write("".join(pieces))
+    write("\n]\n" if as_json else f"{n} candidate(s)\n")
 
 
 def cmd_enumerate(args) -> int:

@@ -7,7 +7,6 @@ The certifier decides both hypotheses from the thresholds and ranges here.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 import sys
@@ -140,11 +139,18 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 _CONFIG_FIELDS = ("d", "c2h", "dimh", "castelnuovo_known")
 
 
+def _shown(value) -> str:
+    """repr(value), or past 20 characters the first 20 and the length: one line on stderr."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 20 else f"{text[:20] + '…'!r} ({len(text)} characters)"
+
+
 def _as_int(value, field: str) -> int:
     try:
         return parse_int(value) if isinstance(value, str) else exact_int(value, field)
     except (TypeError, ValueError):
-        raise ConfigError(f"field {field}: expected an integer, got {value!r}", field=field) from None
+        raise ConfigError(f"field {field}: expected an integer, got {_shown(value)}",
+                          field=field) from None
 
 
 def _as_bool(value, field: str) -> bool:
@@ -152,14 +158,14 @@ def _as_bool(value, field: str) -> bool:
         return value
     if isinstance(value, str) and value.strip().lower() in _BOOL_WORDS:
         return _BOOL_WORDS[value.strip().lower()]
-    raise ConfigError(f"field {field}: expected a boolean, got {value!r}", field=field)
+    raise ConfigError(f"field {field}: expected a boolean, got {_shown(value)}", field=field)
 
 
 def geometry_from_config(data: Mapping) -> PolarizedCY3:
     """Build a geometry from a config mapping, naming the offending field on error."""
     unknown = sorted(set(data) - set(_CONFIG_FIELDS))
     if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}", field=unknown[0])
+        raise ConfigError(f"unknown field {_shown(unknown[0])}", field=unknown[0])
     if "d" not in data:
         raise ConfigError("field d: missing", field="d")
     if "c2h" not in data:
@@ -212,6 +218,7 @@ def load_geometry_config(path) -> dict:
         at = error.start + len(raw) - len(error.object)  # the codec counts from after a BOM
         raise ConfigError(f"config {path}: not UTF-8: byte 0x{raw[at]:02x} at position {at}: "
                           f"{error.reason}") from None
+    import json  # here only: a config from flags or a preset never loads it
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError:
@@ -232,6 +239,6 @@ def load_geometry_config(path) -> dict:
             continue
         sep = "=" if "=" in line else (":" if ":" in line else None)
         if sep is None:
-            raise ConfigError(f"config {path}:{lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"config {path}:{lineno}: expected key = value, got {_shown(raw)}")
         pairs.append([part.strip() for part in line.split(sep, 1)])
     return _unique_keys(pairs)

@@ -86,23 +86,25 @@ def format_rational(value: Fraction | int) -> str:
 def to_jsonable(value):
     """JSON form of a record tree: Fraction to "p/q", INFINITY to "+inf", Enum to
     its value, tuple or list to a list, record to a dict of its fields in
-    declaration order (its `__slots__`)."""
+    declaration order (its `_fields`)."""
     return _converter(type(value))(value)
 
 
 class Record:
-    """Base of the immutable records. A record's fields are its `__slots__`, in
-    declaration order. `Record.__init__` takes them positionally or by keyword
-    and sets each once, through the slots' setters, which are found once per
-    class when it is defined; a record with checks validates its fields in its
-    own `__init__` and then calls this one. Records compare and hash field by
-    field, only with records of the same class."""
+    """Base of the immutable records. A record's fields are the `__slots__` of its
+    bases and its own, base first and each name once. `Record.__init__` takes
+    them positionally or by keyword and sets each once, through the slots'
+    setters; both are found once per class when it is defined. A record with
+    checks validates its fields in its own `__init__` and then calls this one.
+    Records compare and hash field by field, only with records of the same class."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+        slots = [name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())]
+        cls._fields = tuple(dict.fromkeys(slots))  # a name declared again is one field
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
 
     def __init__(self, *values, **named):
         setters = self._setters
@@ -123,7 +125,7 @@ class Record:
     def _all_values(cls, values: tuple, named: dict) -> tuple:
         """Every field's value in declaration order, from the positional and the named
         ones; a TypeError naming the record for a missing, extra, unknown or doubled field."""
-        names = cls.__slots__
+        names = cls._fields
         rest = names[len(values):]
         if len(values) > len(names):
             raise TypeError(f"{cls.__qualname__}() takes {len(names)} fields "
@@ -138,7 +140,7 @@ class Record:
         return values + tuple([named[name] for name in rest])
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -149,7 +151,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild a record through its __init__
@@ -175,7 +177,7 @@ def _converter(cls: type) -> Callable:
     if issubclass(cls, (tuple, list)):
         return lambda value: [_converter(type(item))(item) for item in value]
     if issubclass(cls, Record):
-        names = cls.__slots__
+        names = cls._fields
         return lambda value: {name: _converter(type(v := getattr(value, name)))(v)
                               for name in names}
     return lambda value: value  # int, bool, str, None

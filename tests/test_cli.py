@@ -206,8 +206,11 @@ def test_enumerate_blocks_match_the_row_by_row_writer(as_json):
         ), d
 
 
-# 298: exactly 3 blocks of 256 rows; 311: one row past 4 blocks.
-@pytest.mark.parametrize("d,count", [(298, 768), (311, 1025), (2000, 7069), (2001, 8457)])
+# 298: exactly 3 blocks of 256 rows; 311: one row past 4 blocks. The ranks with one row
+# each start on a block edge at 295 and 1031 (and span three blocks at 1031), with one
+# row left in their first block at 410, and mid-block, ending on an edge, at 1165.
+@pytest.mark.parametrize("d,count", [(298, 768), (311, 1025), (2000, 7069), (2001, 8457),
+                                     (295, 965), (410, 1126), (1031, 4016), (1165, 4608)])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_enumerate_blocks_match_the_row_by_row_writer_at_block_edges(d, count, as_json):
     assert certifier.candidate_count(d) == count
@@ -227,6 +230,36 @@ def test_enumerate_writes_a_block_per_call(as_json):
         render_enumerate(PolarizedCY3.derive(20001, 6), as_json)
     assert certifier.candidate_count(20001) == 107_517
     assert sink.writes == -(-107_517 // 256) + 1
+
+
+class _BlockSink:
+    """A stdout that keeps the text of each write call apart."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def write(self, text):
+        self.blocks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# 298 ends on a block edge; at 2000, 2001 and 15000 the one-row ranks start mid-block.
+@pytest.mark.parametrize("d", [298, 2000, 2001, 15000])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_enumerate_writes_256_rows_per_call_but_the_last_block(d, as_json):
+    sink = _BlockSink()
+    with contextlib.redirect_stdout(sink):
+        render_enumerate(PolarizedCY3(d, 12 - 2 * d, 0), as_json)
+    count = certifier.candidate_count(d)
+    *blocks, last_block, footer = sink.blocks
+    row = '"r": ' if as_json else "("  # once in every row
+    assert [block.count(row) for block in blocks] == [256] * len(blocks)
+    assert 0 < last_block.count(row) <= 256
+    assert 256 * len(blocks) + last_block.count(row) == count
+    assert footer == ("\n]\n" if as_json else f"{count} candidate(s)\n")
 
 
 @pytest.mark.parametrize(
@@ -476,7 +509,8 @@ _OVER_THE_DIGIT_LIMIT = "1" + "0" * sys.get_int_max_str_digits()  # int() refuse
     (f'{{"d": {_OVER_THE_DIGIT_LIMIT}, "c2h": 50}}',
      f"config {{path}}: an integer has more than {sys.get_int_max_str_digits()} digits"),
     (f"d = {_OVER_THE_DIGIT_LIMIT}\nc2h = 50\n",
-     f"field d: expected an integer, got '{_OVER_THE_DIGIT_LIMIT}'"),
+     f"field d: expected an integer, got '10000000000000000000…' "
+     f"({len(_OVER_THE_DIGIT_LIMIT)} characters)"),
 ], ids=["json", "lines"])
 def test_config_integer_over_the_digit_limit_is_exit_3(capsys, tmp_path, config, message):
     path = tmp_path / "geom.cfg"
@@ -484,6 +518,7 @@ def test_config_integer_over_the_digit_limit_is_exit_3(capsys, tmp_path, config,
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert (code, out) == (3, "")
     assert err == f"error: ConfigError: {message.format(path=path)}\n"
+    assert len(err.replace(str(path), "PATH").encode()) < 200  # the value is not echoed in full
 
 
 def test_import_loads_no_code_generating_modules():
@@ -495,6 +530,39 @@ def test_import_loads_no_code_generating_modules():
                           capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_LAZY_JSON_PROBE = """
+import contextlib, io, sys
+import bgcert
+print("json" in sys.modules)
+import bgcert.cli
+print("json" in sys.modules)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = bgcert.cli.main(argv.split())
+    print(code, "json" in sys.modules, out.getvalue().splitlines()[-1])
+"""
+
+
+def test_json_is_imported_only_to_read_or_write_json(tmp_path):
+    # A text command from flags or a preset never loads json; a JSON --config and --json
+    # load it where they use it. Without `site` nothing imports it first.
+    config = tmp_path / "geom.json"
+    config.write_text('{"d": 5, "c2h": 50}')  # the line format would read key '{"d"'
+    commands = ["enumerate --preset quintic", "certify --d 5 --c2h 50",
+                f"geom --config {config}", "enumerate --preset quintic --json"]
+    proc = subprocess.run([sys.executable, "-S", "-c", _LAZY_JSON_PROBE, *commands],
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "False",
+        "0 False 7 candidate(s)",
+        "1 False verdict: CONDITIONAL",
+        "0 True even-degree variant dim|H| >= 2d/3 - 3: n/a (odd degree)",
+        "0 True ]",
+    ]
 
 
 @pytest.mark.parametrize("argv, config, code, line", [

@@ -215,6 +215,32 @@ def test_a_record_subclass_gets_its_own_setters():
             Pair.beta.__get__(built)  # the shadowed slot stays unset
 
 
+def test_a_record_subclass_keeps_its_bases_fields():
+    class Sub(certifier.Case2Row):  # no fields of its own
+        __slots__ = ()
+
+    class Pair(Record):
+        __slots__ = ("beta", "tag")
+
+    class Noted(Pair):  # one field more, after its base's
+        __slots__ = ("note",)
+
+    values = (1, 0, Q(-1, 6), True, "default")
+    sub = Sub(*values)
+    assert Sub._fields == certifier.Case2Row._fields and sub._values() == values
+    assert sub == Sub(*values[:2], **dict(zip(Sub._fields[2:], values[2:])))
+    assert hash(sub) == hash(Sub._trusted(*values)) and sub != certifier.Case2Row(*values)
+    assert repr(sub).endswith("Sub(beta=1, chi_min=0, ch3_bound=Fraction(-1, 6), "
+                              "ok=True, source='default')")
+    assert to_jsonable(sub) == to_jsonable(certifier.Case2Row(*values))
+    noted = Noted(2, "x", note="y")
+    assert Noted._fields == ("beta", "tag", "note") and noted == Noted(2, "x", "y")
+    assert repr(noted).endswith("Noted(beta=2, tag='x', note='y')")
+    assert to_jsonable(noted) == {"beta": 2, "tag": "x", "note": "y"}
+    with pytest.raises(TypeError, match="Noted\\(\\) missing field 'note'"):
+        Noted(2, "x")
+
+
 @pytest.mark.parametrize("make, text, keys", RECORDS)
 def test_positional_keyword_and_mixed_builds_agree(make, text, keys):
     # All by position takes Record.__init__'s fast path; any keyword takes the checked one.
