@@ -205,26 +205,20 @@ def candidate_ranks(d: int) -> Iterator[tuple[int, int]]:
     return ((r, -(-((r - 1) * d) // (2 * r))) for r in range(1, r_max + 1))
 
 
-def candidate_rows(d: int) -> Iterator[tuple[int, int]]:
-    """All (r, c2H) with ch2H = d/2 - c2H > 0 and 2 r c2H >= (r-1) d, by (r, c2H):
-    the runs of candidate_ranks, flattened. Raises TooManyCandidates as it does."""
-    ranks = candidate_ranks(d)
-    stop = (d + 1) // 2
-    return ((r, c) for r, lo in ranks for c in range(lo, stop))
-
-
 def enumerate_candidates(geom: PolarizedCY3) -> list[Candidate]:
-    """The candidates of candidate_rows as records.
+    """All (r, c2H) with ch2H = d/2 - c2H > 0 and 2 r c2H >= (r-1) d, by (r, c2H),
+    as records: the runs of candidate_ranks. Raises TooManyCandidates as it does.
 
     ch2H depends on c2H alone, so each value is built once per c2H and the
     same (immutable) Fraction is shared by the candidates of every rank.
     No field is checked: the ranges give r >= 1, c2H >= 0 and c2H < (d+1)//2, so ch2H > 0.
     """
     d = geom.d
-    rows = candidate_rows(d)
-    ch2H = [Fraction(d - 2 * c, 2) for c in range((d + 1) // 2)]
+    ranks = candidate_ranks(d)
+    stop = (d + 1) // 2
+    ch2H = [Fraction(d - 2 * c, 2) for c in range(stop)]
     trusted = Candidate._trusted
-    return [trusted(r, c, ch2H[c]) for r, c in rows]
+    return [trusted(r, c, ch2H[c]) for r, lo in ranks for c in range(lo, stop)]
 
 
 # ---------------------------------------------------------------------------

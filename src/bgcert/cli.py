@@ -36,7 +36,7 @@ from .geometry import (
     geometry_from_config,
     load_geometry_config,
 )
-from .rationals import format_rational, parse_int, parse_rational, to_jsonable
+from .rationals import _shown, format_rational, parse_int, parse_rational, to_jsonable
 from .stability import bg_discriminant, bg_ok, slope_mu, tilt_slope_nu
 
 EXIT_OK = 0
@@ -64,9 +64,9 @@ _BLOCK_ROWS = 256
 
 def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="named geometry: quintic, ci24 or ci223")
-    parser.add_argument("--d", type=parse_int, help="degree H^3 of a custom geometry")
-    parser.add_argument("--c2h", type=parse_int, help="c2(X).H of a custom geometry")
-    parser.add_argument("--dimh", type=parse_int, help="dim|H| override (must match Riemann-Roch)")
+    parser.add_argument("--d", help="degree H^3 of a custom geometry")
+    parser.add_argument("--c2h", help="c2(X).H of a custom geometry")
+    parser.add_argument("--dimh", help="dim|H| override (must match Riemann-Roch)")
     parser.add_argument(
         "--castelnuovo-known",
         action="store_true",
@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_geometry(args) -> tuple[PolarizedCY3 | None, str | None]:
-    """Geometry from --preset, flags, or --config; flags beat the file."""
+def _resolve_geometry(args) -> PolarizedCY3 | None:
+    """Geometry from --preset, flags, or --config; flags beat the file, as config fields."""
     file_conf = load_geometry_config(args.config) if args.config else {}
     flags = {"d": args.d, "c2h": args.c2h, "dimh": args.dimh,
              "castelnuovo_known": args.castelnuovo_known or None}
@@ -123,41 +123,41 @@ def _resolve_geometry(args) -> tuple[PolarizedCY3 | None, str | None]:
     if args.preset and merged:
         raise ConfigError("give either --preset or a custom geometry (--d/--c2h/--config), not both")
     if args.preset:
-        return from_preset(args.preset), args.preset
+        return from_preset(args.preset)
     if not merged:
-        return None, None
-    return geometry_from_config(merged), None
+        return None
+    return geometry_from_config(merged)
 
 
-def _require_geometry(args) -> tuple[PolarizedCY3, str | None]:
-    geom, preset = _resolve_geometry(args)
+def _require_geometry(args) -> PolarizedCY3:
+    geom = _resolve_geometry(args)
     if geom is None:
         raise ConfigError("no geometry given: use --preset or --d/--c2h (or --config)")
-    return geom, preset
+    return geom
 
 
 def _parse_ch(text: str) -> ChernVector:
     parts = text.split(",")
     if len(parts) != 4:
-        raise ConfigError(f"--ch expects ch0,c1,ch2H,ch3 (4 fields), got {text!r}")
+        raise ConfigError(f"--ch expects ch0,c1,ch2H,ch3 (4 fields), got {_shown(text)}")
     try:
         values = [parse_rational(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"--ch: {exc}") from None
     ch0, c1 = values[0], values[1]
     if ch0.denominator != 1 or c1.denominator != 1:
-        raise ConfigError(f"--ch: ch0 and c1 must be integers, got {parts[0]},{parts[1]}")
+        raise ConfigError(f"--ch: ch0 and c1 must be integers, got {_shown(','.join(parts[:2]))}")
     return ChernVector(int(ch0), int(c1), values[2], values[3])
 
 
 def _parse_curve_bound(text: str) -> CurveBound:
     beta_str, sep, chi_str = text.partition(":")
     if not sep:
-        raise ConfigError(f"--curve-bound expects BETA:CHI, got {text!r}")
+        raise ConfigError(f"--curve-bound expects BETA:CHI, got {_shown(text)}")
     try:
         beta, chi = parse_int(beta_str), parse_int(chi_str)
     except ValueError:
-        raise ConfigError(f"--curve-bound expects integers BETA:CHI, got {text!r}") from None
+        raise ConfigError(f"--curve-bound expects integers BETA:CHI, got {_shown(text)}") from None
     try:
         return CurveBound(beta, chi)
     except ValueError as exc:
@@ -218,8 +218,8 @@ def render_geom(report: dict) -> str:
 
 
 def cmd_geom(args) -> int:
-    geom, preset = _require_geometry(args)
-    _emit(args, build_geom_report(geom, preset), render_geom)
+    geom = _require_geometry(args)
+    _emit(args, build_geom_report(geom, args.preset), render_geom)
     return EXIT_OK
 
 
@@ -280,7 +280,7 @@ def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    geom, _ = _require_geometry(args)
+    geom = _require_geometry(args)
     render_enumerate(geom, args.json)
     return EXIT_OK
 
@@ -338,9 +338,9 @@ def render_certificate(report: dict) -> str:
 
 
 def cmd_certify(args) -> int:
-    geom, preset = _require_geometry(args)
+    geom = _require_geometry(args)
     bounds = [_parse_curve_bound(text) for text in args.curve_bound]
-    report = build_certify_report(geom, preset, bounds, _MODES[args.mode])
+    report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])
     _emit(args, report, render_certificate)
     return _VERDICT_EXIT[report["verdict"]]
 
@@ -392,15 +392,15 @@ def cmd_eval(args) -> int:
         _resolve_geometry(args)  # optional for this op, but checked when given
         geom = None
     else:
-        geom = _require_geometry(args)[0]
+        geom = _require_geometry(args)
     t = None
-    if args.op == "nu":
-        if args.t is None:
-            raise ConfigError("--t is required for op nu")
+    if args.t is not None:  # checked whenever given, used by nu alone
         try:
             t = parse_rational(args.t)
         except ValueError as exc:
             raise ConfigError(f"--t: {exc}") from None
+    elif args.op == "nu":
+        raise ConfigError("--t is required for op nu")
     _emit(args, build_eval_report(args.op, geom, ch, t), render_eval)
     return EXIT_OK
 

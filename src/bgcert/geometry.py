@@ -20,7 +20,7 @@ from .errors import (
     NonIntegralGeometry,
     UnknownPreset,
 )
-from .rationals import Record, exact_int, parse_int
+from .rationals import Record, _shown, exact_int, parse_int
 
 
 def check_degree(d: int) -> None:
@@ -102,7 +102,7 @@ def from_preset(name: str) -> PolarizedCY3:
         return PRESETS[name]
     except KeyError:
         raise UnknownPreset(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+            f"unknown preset {_shown(name)}; available: {', '.join(sorted(PRESETS))}"
         ) from None
 
 
@@ -137,12 +137,6 @@ def default_chi_min(geom: PolarizedCY3, beta: int) -> int:
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _CONFIG_FIELDS = ("d", "c2h", "dimh", "castelnuovo_known")
-
-
-def _shown(value) -> str:
-    """repr(value), or past 20 characters the first 20 and the length: one line on stderr."""
-    text = value if isinstance(value, str) else repr(value)
-    return repr(value) if len(text) <= 20 else f"{text[:20] + '…'!r} ({len(text)} characters)"
 
 
 def _as_int(value, field: str) -> int:
@@ -183,7 +177,7 @@ def _unique_keys(pairs) -> dict:
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise ConfigError(f"field {key}: given more than once", field=key)
+            raise ConfigError(f"field {_shown(key)}: given more than once", field=key)
         out[key] = value
     return out
 

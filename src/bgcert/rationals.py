@@ -56,11 +56,11 @@ def parse_rational(text: str) -> Fraction:
     """
     s = text.strip()
     if not RATIONAL_GRAMMAR.fullmatch(s):
-        raise ValueError(f"malformed rational {text!r}: expected p or p/q")
+        raise ValueError(f"malformed rational {_shown(text)}: expected p or p/q")
     if "/" in s:
         p, q = s.split("/")
         if int(q) == 0:
-            raise ValueError(f"malformed rational {text!r}: denominator is zero")
+            raise ValueError(f"malformed rational {_shown(text)}: denominator is zero")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 
@@ -72,8 +72,14 @@ def parse_int(text: str) -> int:
     """
     s = text.strip()
     if not INTEGER_GRAMMAR.fullmatch(s):
-        raise ValueError(f"malformed integer {text!r}: expected -?[0-9]+")
+        raise ValueError(f"malformed integer {_shown(text)}: expected -?[0-9]+")
     return int(s)
+
+
+def _shown(value) -> str:
+    """repr(value), or past 20 characters the first 20 and the length: one line on stderr."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 20 else f"{text[:20] + '…'!r} ({len(text)} characters)"
 
 
 def format_rational(value: Fraction | int) -> str:

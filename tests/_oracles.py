@@ -1,10 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive (truncated power series, brute-force
-scans) and shares no formula with the package under test. The one exception
-is the row-by-row `enumerate` writer, which reads its rows from
-`candidate_rows`; that iterator is itself checked against `naive_candidates`.
-Its ch2H labels are `str` of `fraction_ch2H_by_c2H`, not the package's.
+scans) and shares no formula with the package under test.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
-from bgcert.certifier import Case1Trace, candidate_rows
+from bgcert.certifier import Case1Trace
 from bgcert.chern import ChernVector
 from bgcert.errors import (
     BgcertError,
@@ -317,11 +314,14 @@ def row_by_row_render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
     """Write the candidates to stdout row by row, in the bytes of one text or
     json.dumps(indent=2) rendering of the whole list.
 
-    Each ch2H string is made once per c2H and joined to the row's rank as it
-    is written, so memory stays at O(d) while the output grows as d log d.
+    The rows come from Bogomolov-Gieseker solved for the rank: at c2H = c,
+    2 r c >= (r - 1) d is r (d - 2c) <= d, so the ranks 1 .. d // (d - 2c),
+    then sorted by (r, c2H). Each ch2H label is `str` of a Fraction, made
+    once per c2H and joined to the row's rank as it is written.
     """
-    rows = candidate_rows(geom.d)  # TooManyCandidates here, before any byte is written
-    labels = map(str, fraction_ch2H_by_c2H(geom.d))  # Fraction prints p/q, or p when whole
+    d = geom.d
+    rows = sorted((r, c) for c in range((d + 1) // 2) for r in range(1, d // (d - 2 * c) + 1))
+    labels = map(str, fraction_ch2H_by_c2H(d))  # Fraction prints p/q, or p when whole
     write = sys.stdout.write
     if as_json:
         tails = [f',\n    "c2H": {c},\n    "ch2H": "{s}"\n  }}' for c, s in enumerate(labels)]

@@ -29,7 +29,6 @@ from bgcert.certifier import (
     _case3_trace,
     candidate_count,
     candidate_ranks,
-    candidate_rows,
     case1_check,
     case2_check,
     case3_bound,
@@ -337,7 +336,8 @@ def test_candidate_ranks_flatten_to_the_naive_scan(d):
     ranks = list(candidate_ranks(d))
     assert [r for r, _ in ranks] == list(range(1, len(ranks) + 1))
     assert [(r, c) for r, lo in ranks for c in range(lo, (d + 1) // 2)] == expected
-    assert list(candidate_rows(d)) == expected
+    got = enumerate_candidates(PolarizedCY3.derive(d, 12 - 2 * d))
+    assert [(c.r, c.c2H) for c in got] == expected
 
 
 @pytest.mark.parametrize("d", [10**12 + 2, 35335, 39788])
@@ -346,7 +346,7 @@ def test_candidate_ranks_refuses_too_many_when_called(d):
     with pytest.raises(TooManyCandidates, match=f"d = {d} has more than 200000 candidates"):
         candidate_ranks(d)
     with pytest.raises(TooManyCandidates):
-        candidate_rows(d)
+        enumerate_candidates(PolarizedCY3.derive(d, 12 - 2 * d))
 
 
 def test_candidate_ranks_at_the_largest_degrees_below_the_limit():

@@ -569,7 +569,7 @@ def test_json_is_imported_only_to_read_or_write_json(tmp_path):
     (["certify", "--preset", "quintic", "--mode", "even"], None, 2,
      "linear-system hypothesis: not applicable (odd degree)"),
     (["eval", "--op", "chi", "--ch", "1/2,1,0,0"], None, 3,
-     "--ch: ch0 and c1 must be integers, got 1/2,1"),
+     "--ch: ch0 and c1 must be integers, got '1/2,1'"),
     (["certify", "--preset", "quintic", "--curve-bound", "0:1"], None, 3,
      "--curve-bound: beta must be >= 1, got 0"),
     (["eval", "--op", "nu", "--preset", "quintic", "--ch", "1,1,5/2,5/6", "--t", "1/0"], None, 3,
@@ -582,8 +582,8 @@ def test_json_is_imported_only_to_read_or_write_json(tmp_path):
     (["geom"], "d = 5_0\nc2h = 50\n", 3, "field d: expected an integer, got '5_0'"),
     (["geom"], '{"d": 5, "c2h": "\\u0665\\u0660"}', 3,
      "field c2h: expected an integer, got '\u0665\u0660'"),
-    (["geom"], "d = 5\nc2h = 50\nd = 8\n", 3, "ConfigError: field d: given more than once"),
-    (["geom"], '{"d": 5, "c2h": 50, "d": 8}', 3, "ConfigError: field d: given more than once"),
+    (["geom"], "d = 5\nc2h = 50\nd = 8\n", 3, "ConfigError: field 'd': given more than once"),
+    (["geom"], '{"d": 5, "c2h": 50, "d": 8}', 3, "ConfigError: field 'd': given more than once"),
     (["geom", "--d", "5", "--c2h", "50", "--dimh", "5"], None, 3,
      "InconsistentGeometry: field dimh = 5 contradicts d/6 + c2h/12 - 1 = 4"),
     (["geom"], '{"d": 5, "c2h": 50, "dimh": 3}', 3,
@@ -610,11 +610,24 @@ def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, 
 
 @pytest.mark.parametrize("flag, value", [("--d", "5_0"), ("--d", "\u0665"), ("--d", "+5"),
                                          ("--c2h", "5_0"), ("--dimh", "4_")])
-def test_integer_flags_follow_the_rational_grammar(capsys, flag, value):
-    flags = {"--d": "5", "--c2h": "50", flag: value}
-    code, out, err = run(capsys, "certify", *(item for pair in flags.items() for item in pair))
-    assert code == 3 and out == ""
-    assert err.splitlines()[-1].endswith(f"argument {flag}: invalid parse_int value: {value!r}")
+def test_integer_flags_follow_the_rational_grammar(capsys, tmp_path, flag, value):
+    # A flag is read as the config field of its name: the same line, byte for byte.
+    fields = {"d": "5", "c2h": "50", flag[2:]: value}
+    code, out, err = run(capsys, "certify", *(f"--{key}={v}" for key, v in fields.items()))
+    assert (code, out) == (3, "")
+    assert err == f"error: ConfigError: field {flag[2:]}: expected an integer, got {value!r}\n"
+    path = tmp_path / "geom.cfg"
+    path.write_text("".join(f"{key} = {v}\n" for key, v in fields.items()), encoding="utf-8")
+    assert run(capsys, "certify", "--config", str(path)) == (code, out, err)
+
+
+def test_t_is_checked_whenever_given(capsys):
+    argv = ["eval", "--op", "chi", "--preset", "quintic", "--ch", "1,1,5/2,5/6"]
+    assert run(capsys, *argv, "--t", "xyz") == (
+        3, "", "error: ConfigError: --t: malformed rational 'xyz': expected p or p/q\n")
+    for op in ("chi", "mu", "bg", "ineq12"):
+        argv[2] = op
+        assert run(capsys, *argv, "--t", "-3/2") == run(capsys, *argv), op
 
 
 def test_config_file_not_utf8_is_exit_3(capsys, tmp_path):
@@ -816,3 +829,65 @@ def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv, config):
         assert out.getvalue() == "" and err.getvalue() != ""
     elif "--json" in argv:
         json.loads(out.getvalue())
+
+
+# One typed value 5,000 characters long, made by repeating a filler. No filler makes an
+# integer of 13 digits or fewer; "7" makes one over int()'s digit limit.
+_LONG = st.sampled_from(["x", "7", "7/", "1,", "1:", "-", "é", "٥", "\n", "'", '"',
+                         " ", "=", "#"]).map(lambda filler: (filler * 5000)[:5000])
+_LONG_SLOTS = ["--preset", "--d", "--c2h", "--dimh", "--ch", "--t", "--curve-bound",
+               "config value", "config key twice"]
+
+
+@st.composite
+def _one_long_value(draw):
+    """(argv, config text or None) in which one typed value is 5,000 characters long."""
+    value, slot = draw(_LONG), draw(st.sampled_from(_LONG_SLOTS))
+    command = draw(st.sampled_from(["geom", "enumerate", "certify"]))
+    op = draw(st.sampled_from(["chi", "mu", "nu", "bg", "ineq12"]))
+    if slot == "--preset":
+        return [command, f"--preset={value}"], None
+    if slot in ("--d", "--c2h", "--dimh"):
+        fields = {"d": "5", "c2h": "50", slot[2:]: value}
+        return [command, *(f"--{key}={v}" for key, v in fields.items())], None
+    if slot == "--ch":  # the value whole, or as a c1 of 4,000 characters over 2
+        ch = draw(st.sampled_from([value, f"1,{value[:4000]}/2,1,0"]))
+        return ["eval", "--op", op, "--preset", "quintic", f"--ch={ch}"], None
+    if slot == "--t":
+        return ["eval", "--op", op, "--preset", "quintic", "--ch", "1,1,5/2,5/6",
+                f"--t={value}"], None
+    if slot == "--curve-bound":
+        return ["certify", "--preset", "quintic", f"--curve-bound={value}"], None
+    if slot == "config value":
+        field = draw(st.sampled_from(["d", "c2h", "dimh", "castelnuovo_known"]))
+        pairs = [*{"d": "5", "c2h": "50", field: value}.items()]
+    else:
+        pairs = [("d", "5"), ("c2h", "50"), (value, "1"), (value, "2")]
+    if draw(st.booleans()):
+        body = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs)
+        return [command], "{" + body + "}"
+    return [command], "".join(f"{k} = {v}\n" for k, v in pairs)
+
+
+@settings(deadline=None)
+@given(_one_long_value())
+def test_a_long_typed_value_gives_one_short_error_line(case):
+    # Every typed value is quoted by one rule, so the error line stays short however long
+    # the value; argparse's own usage errors are not drawn here.
+    argv, config = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "geom.cfg")
+        if config is not None:
+            with open(path, "w", encoding="utf-8") as file:
+                file.write(config)
+            argv = [*argv, "--config", path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    line = err.getvalue().replace(path, "")
+    assert code in (0, 1, 2, 3), (argv, line)
+    if code != 3:  # a filler that a config file reads as a comment or blank leaves a verdict
+        assert line == ""
+        return
+    assert out.getvalue() == "" and line.startswith("error: "), (argv, line)
+    assert line.endswith("\n") and line.count("\n") == 1 and len(line.encode()) < 300, line

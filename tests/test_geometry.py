@@ -356,6 +356,6 @@ def test_load_geometry_config_refuses_a_repeated_key(tmp_path, text):
     # Keeping the last value would read d = 8 from a file whose first line says 5.
     path = tmp_path / "geom.cfg"
     path.write_text(text)
-    with pytest.raises(ConfigError, match="field d: given more than once") as info:
+    with pytest.raises(ConfigError, match="field 'd': given more than once") as info:
         load_geometry_config(path)
     assert info.value.field == "d"

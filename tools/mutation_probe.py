@@ -6,23 +6,32 @@
 Each mutant changes one token on one of the named lines: a binary `+` and
 `-` trade places, `*` and `//` trade places, a comparison gains or loses its
 equality (`<` and `<=`, `>` and `>=` trade places), `and` and `or` trade
-places, and an integer constant moves by +1 and by -1. For each mutant the
-named tests run with `pytest -x` in a copy of the checkout (`src/`, `tests/`,
-`pyproject.toml`) under the system temporary directory, two copies at a time.
-A mutant is killed when pytest exits non-zero. The survivors are printed with
+places, and an integer constant moves by +1 and by -1.
+
+The named tests first run once on an unmodified copy of the checkout (`src/`,
+`tests/`, `pyproject.toml`); if they fail there, the probe says so in one line
+and exits 2 without running a mutant. Then each mutant runs the named tests
+with `pytest -x` in its own throwaway copy under the system temporary
+directory, two mutants at a time. A mutant is killed when pytest exits
+non-zero, or when it runs past 10 times the unmodified run plus 60 s: then it
+is killed with its whole process group and printed as `killed (timeout)`.
+Each run's address space is capped at 1 GiB. The survivors are printed with
 their line; the last line is the count. Run it from the root of a checkout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 
 SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">",
          "and": "or", "or": "and"}
@@ -57,35 +66,73 @@ def mutants(source: str, lines: list[int]):
             yield row, line[:col] + new + line[token.end[1]:]
 
 
-def run_all(root: str, jobs: list, tests: list[str]) -> list:
-    """Run each (path, row, mutated line) in a copy of the checkout; return the survivors."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # a stale .pyc would hide a mutant
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def start_tests(copy: str, root: str, tests: list[str], mutant=None) -> subprocess.Popen:
+    """pytest -x on the named tests in `copy`, made a copy of the checkout at `root` with
+    the one (path, row, mutated line) of `mutant` written into it."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(root, name), os.path.join(copy, name), ignore=ignore)
+    shutil.copy(os.path.join(root, "pyproject.toml"), copy)
+    if mutant is not None:
+        path, row, mutated = mutant
+        target = os.path.join(copy, path)
+        with open(target) as file:
+            lines = file.read().splitlines(keepends=True)
+        with open(target, "w") as file:
+            file.writelines(lines[:row - 1] + [mutated] + lines[row:])
+    # No threads run in this process, so preexec_fn is safe; a new session lets a
+    # timeout kill pytest together with whatever it started.
+    return subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),  # a stale .pyc hides a mutant
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=_cap_memory, start_new_session=True)
 
-    def work(share: list) -> list:
-        survivors = []
-        with tempfile.TemporaryDirectory() as copy:
-            for name in ("src", "tests"):
-                shutil.copytree(os.path.join(root, name), os.path.join(copy, name), ignore=ignore)
-            shutil.copy(os.path.join(root, "pyproject.toml"), copy)
-            for path, row, mutated in share:
-                target = os.path.join(copy, path)
-                with open(target) as file:
-                    original = file.read().splitlines(keepends=True)
-                with open(target, "w") as file:
-                    file.writelines(original[:row - 1] + [mutated] + original[row:])
-                proc = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                    cwd=copy, env=env, capture_output=True, timeout=600)
-                with open(target, "w") as file:
-                    file.writelines(original)
-                if proc.returncode == 0:
-                    survivors.append((path, row, mutated))
-        return survivors
 
-    with ThreadPoolExecutor(WORKERS) as pool:
-        shares = pool.map(work, [jobs[k::WORKERS] for k in range(WORKERS)])
-        return [survivor for share in shares for survivor in share]
+def outcomes(root: str, jobs: list, tests: list[str], timeout: float | None) -> list[str]:
+    """"passed", "failed" or "timeout" for each job, a mutant or None for the unmodified
+    checkout, each in its own throwaway copy, WORKERS at a time. A run past `timeout`
+    seconds is killed."""
+    found = []
+    for k in range(0, len(jobs), WORKERS):
+        with contextlib.ExitStack() as stack:
+            procs = []
+            for job in jobs[k:k + WORKERS]:
+                copy = stack.enter_context(tempfile.TemporaryDirectory())
+                procs.append(start_tests(copy, root, tests, job))
+                stack.callback(_stop, procs[-1])  # before its copy is removed
+            deadline = None if timeout is None else time.monotonic() + timeout
+            for proc in procs:
+                left = None if deadline is None else max(0.0, deadline - time.monotonic())
+                try:
+                    found.append("passed" if proc.wait(left) == 0 else "failed")
+                except subprocess.TimeoutExpired:
+                    found.append("timeout")
+    return found
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """Kill a run still going, past its deadline or left by an interrupt, with its group."""
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def run_all(root: str, jobs: list, tests: list[str], timeout: float) -> int:
+    """Run each (path, row, mutated line), print the survivors, the timeouts and the
+    count, and return the number of survivors."""
+    results = outcomes(root, jobs, tests, timeout)
+    for (path, row, mutated), result in zip(jobs, results):
+        if result != "failed":
+            verdict = "survived" if result == "passed" else "killed (timeout)"
+            print(f"{verdict} {path}:{row}: {mutated.strip()}")
+    survivors = results.count("passed")
+    print(f"{len(jobs)} mutants, {len(jobs) - survivors} killed, {survivors} survived")
+    return survivors
 
 
 def main(argv=None) -> int:
@@ -100,10 +147,13 @@ def main(argv=None) -> int:
         path, lines = line_targets(spec)
         with open(path) as file:
             jobs += [(path, row, mutated) for row, mutated in mutants(file.read(), lines)]
-    survivors = run_all(os.getcwd(), jobs, tests)
-    for path, row, mutated in survivors:
-        print(f"survived {path}:{row}: {mutated.strip()}")
-    print(f"{len(jobs)} mutants, {len(jobs) - len(survivors)} killed, {len(survivors)} survived")
+    root = os.getcwd()
+    start = time.monotonic()
+    if outcomes(root, [None], tests, None) != ["passed"]:
+        print("the named tests fail on the unmodified checkout: no mutant was run",
+              file=sys.stderr)
+        return 2
+    run_all(root, jobs, tests, 10 * (time.monotonic() - start) + 60)
     return 0
 
 
