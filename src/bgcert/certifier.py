@@ -24,7 +24,7 @@ from .geometry import (
     even_threshold,
     full_threshold,
 )
-from .rationals import Record, exact_int, exact_rational, to_jsonable
+from .rationals import Record, _shown, exact_int, exact_rational, to_jsonable
 
 
 class Verdict(str, Enum):
@@ -85,7 +85,7 @@ def case2_check(
     for cb in bounds or ():
         if not 1 <= cb.beta < (geom.d + 1) // 2:  # outside castelnuovo_range
             raise BetaOutOfRange(
-                f"beta = {cb.beta} outside 1 <= beta < d/2 = {Fraction(geom.d, 2)}"
+                f"beta = {_shown(cb.beta)} outside 1 <= beta < d/2 = {_shown(Fraction(geom.d, 2))}"
             )
         supplied[cb.beta] = min(cb.chi_min, supplied.get(cb.beta, cb.chi_min))
     rows = []
@@ -152,10 +152,9 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 # Candidate enumeration.
 
 # Enumeration and certification refuse a degree with more candidates than
-# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`,
-# which writes blocks of 256 rows, takes about 0.1 s and 16 MB, but
-# `certify --json`, which holds the whole certificate, takes about 3 s and
-# 250 MB (2-core VM, Python 3.11).
+# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`
+# takes about 0.15 s and 15 MB, and `certify --json` about 0.4 s and 22 MB,
+# since both write the candidates in blocks of 256 rows (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 
@@ -199,7 +198,7 @@ def candidate_ranks(d: int) -> Iterator[tuple[int, int]]:
     still reaches the largest admissible c2H.
     """
     if candidate_count(d) > MAX_CANDIDATES:
-        raise TooManyCandidates(f"d = {d} has more than {MAX_CANDIDATES} candidates")
+        raise TooManyCandidates(f"d = {_shown(d)} has more than {MAX_CANDIDATES} candidates")
     c_max = (d + 1) // 2 - 1
     r_max = d // (d - 2 * c_max)
     return ((r, -(-((r - 1) * d) // (2 * r))) for r in range(1, r_max + 1))
@@ -232,7 +231,7 @@ class IneqReport(Record):
 def check_ineq_1_2(ch: ChernVector) -> IneqReport:
     """ch3 <= ch2H / (3 ch0) for positive-rank classes."""
     if ch.ch0 <= 0:
-        raise ZeroRank(f"rank must be positive, got {ch.ch0}")
+        raise ZeroRank(f"rank must be positive, got {_shown(ch.ch0)}")
     # With ch2H = a/b and ch3 = x/y, rhs = a / (3 b ch0), and ch3 <= rhs is 3 b ch0 x <= a y.
     a, b, x, y = ch.ch2H.numerator, ch.ch2H.denominator, ch.ch3.numerator, ch.ch3.denominator
     left, right = 3 * b * ch.ch0 * x, a * y
@@ -291,9 +290,14 @@ def certify_theorem(
     violate the curve hypothesis make hypothesis_ok false (the theorem's own
     assumptions are contradicted by the input data).
     """
+    return _certify(geom, curve_bounds, mode, enumerate_candidates)
+
+
+def _certify(geom: PolarizedCY3, curve_bounds, mode, candidates_of) -> Certificate:
+    """certify_theorem with the candidates candidates_of(geom); the CLI's gives none."""
     hypothesis = _resolve_mode(geom, mode)
     # Before case2_check, which builds d/2 rows: this raises TooManyCandidates first.
-    candidates = tuple(enumerate_candidates(geom))
+    candidates = tuple(candidates_of(geom))
     rows = case2_check(geom, curve_bounds)
     violated = tuple(row.beta for row in rows if row.source == "supplied" and not row.ok)
     hypothesis_ok = hypothesis.holds and not violated

@@ -8,9 +8,10 @@ verdict). A reader that closes the output early ends the process by SIGPIPE,
 as with other Unix filters.
 
 For geom, certify and eval, the JSON and human renderings are generated from
-the same report value; enumerate writes both from the same rank iterator,
-`certifier.candidate_ranks`, a rank's rows as one C join of its head over their
-tails, 256 rows per write call. So the two views can never disagree.
+the same report value. The candidates of enumerate and certify are written from
+the same rank iterator, `certifier.candidate_ranks`, a rank's rows as one C join
+of its head over their tails, and never held as a list. So the two views can
+never disagree.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import sys
 
 from .certifier import (
     Verdict,
+    _certify,
     candidate_ranks,
     certificate_to_jsonable,
-    certify_theorem,
     check_ineq_1_2,
     hypothesis_checks,
 )
@@ -53,8 +54,9 @@ _VERDICT_EXIT = {
 
 _MODES = {"auto": "auto", "full": "full_1_3", "even": "even_variant"}
 
-# Rows per write call of `enumerate`. Larger blocks save little more time and
-# hold more memory at once; the traced peak must stay below the output.
+# Rows per write call of `enumerate` and `certify`, and pieces of certify's JSON
+# encoder per write call. Larger blocks save little more time and hold more
+# memory at once; the traced peak must stay below the output.
 _BLOCK_ROWS = 256
 
 
@@ -116,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_geometry(args) -> PolarizedCY3 | None:
     """Geometry from --preset, flags, or --config; flags beat the file, as config fields."""
-    file_conf = load_geometry_config(args.config) if args.config else {}
+    file_conf = load_geometry_config(args.config) if args.config is not None else {}
     flags = {"d": args.d, "c2h": args.c2h, "dimh": args.dimh,
              "castelnuovo_known": args.castelnuovo_known or None}
     merged = {**file_conf, **{key: value for key, value in flags.items() if value is not None}}
-    if args.preset and merged:
+    if args.preset is not None and merged:
         raise ConfigError("give either --preset or a custom geometry (--d/--c2h/--config), not both")
-    if args.preset:
+    if args.preset is not None:
         return from_preset(args.preset)
     if not merged:
         return None
@@ -227,37 +229,40 @@ def cmd_geom(args) -> int:
 # enumerate
 
 
-def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
-    """Write the candidates to stdout in blocks of 256 rows, one write call per
-    block, in the bytes of one text or json.dumps(indent=2) rendering of the
-    whole list.
+def _write_rows(d: int, ranks, indent: int | None) -> int:
+    """Write the candidates of `ranks` to stdout as text rows, or as "[" and the rows of
+    a json.dumps list at `indent`, 256 rows per write call; return the number of rows.
 
-    A row is its rank's head and its c2H's tail; the tails are made once, from
-    integers. A rank's rows are one run of c2H up to the last, so they are one
-    C join of the rank's head over the run's tails, cut where a block fills.
-    About half the ranks have the last c2H alone: their rows are one join of
-    the ranks over that tail. So the Python-level work is per rank and per
-    block, none per row. Memory stays at O(d) while the output grows as d log d.
+    A row is its rank's head and its c2H's tail, `%`-formatted from integers. Ranks 3 and
+    up start at rank 3's floor ceil(d/3) or later, so the tails from there on are made
+    once and kept, and a rank's rows are one C join of its head over them, cut where a
+    block fills. Below the floor, ranks 1 and 2 join their head over tails made per block.
+    About half the ranks have the last c2H alone: their rows are one join of the ranks
+    over that tail. So the Python-level work is per rank and per block, none per row, and
+    memory holds d/6 tails and one block while the output grows as d log d.
     """
-    d = geom.d
-    ranks = candidate_ranks(d)  # TooManyCandidates here, before any byte is written
     stop = (d + 1) // 2
     # ch2H = (d - 2 c2H)/2: an odd numerator over 2 for odd d, else the whole d/2 - c2H.
     nums, half = (range(d, 0, -2), "/2") if d % 2 else (range(d // 2, 0, -1), "")
-    if as_json:  # a row ends in the comma before the next one; the last row drops it
-        pre, tail = '\n  {\n    "r": ', ',\n    "c2H": {},\n    "ch2H": "{}' + half + '"\n  }},'
-    else:
-        pre, tail = "(", ", {})  ch2H = {}" + half + "\n"
-    tails = list(map(tail.format, range(stop), nums))
+    if indent is None:
+        pre, tail = "(", ", %d)  ch2H = %d" + half + "\n"
+    else:  # a row ends in the comma before the next one; the last row drops it
+        pad = "\n" + " " * indent
+        pre, tail = f'{pad}{{{pad}  "r": ', f',{pad}  "c2H": %d,{pad}  "ch2H": "%d{half}"{pad}}},'
+    keep = min(-(-d // 3), stop - 1)
+    tails = list(map(tail.__mod__, zip(range(keep, stop), nums[keep:])))
     write = sys.stdout.write
-    pieces, n = ["["] if as_json else [], 0  # the block not yet written; the rows so far
+    pieces, n = ["["] if indent is not None else [], 0  # the block not yet written; the rows so far
     for r, lo in ranks:
         if lo == stop - 1:
             break
         head = pre + str(r)
         while lo < stop:
-            j = min(stop, lo + _BLOCK_ROWS - n % _BLOCK_ROWS)
-            pieces.append(head + head.join(tails[lo:j]))
+            j = min(stop, lo + _BLOCK_ROWS - n % _BLOCK_ROWS, keep if lo < keep else stop)
+            if lo < keep:
+                pieces.append(head + head.join(map(tail.__mod__, zip(range(lo, j), nums[lo:j]))))
+            else:
+                pieces.append(head + head.join(tails[lo - keep:j - keep]))
             n += j - lo
             lo = j
             if not n % _BLOCK_ROWS:
@@ -276,7 +281,13 @@ def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
             pieces = []
     if pieces:
         write("".join(pieces))
-    write("\n]\n" if as_json else f"{n} candidate(s)\n")
+    return n
+
+
+def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
+    """Write the candidates to stdout as one text or json.dumps(indent=2) rendering."""
+    n = _write_rows(geom.d, candidate_ranks(geom.d), 2 if as_json else None)
+    sys.stdout.write("\n]\n" if as_json else f"{n} candidate(s)\n")
 
 
 def cmd_enumerate(args) -> int:
@@ -289,9 +300,13 @@ def cmd_enumerate(args) -> int:
 # certify
 
 
+_ROWS = "<candidates>"  # where cmd_certify writes the candidates into a certify report
+
+
 def build_certify_report(geom: PolarizedCY3, preset: str | None, curve_bounds, mode) -> dict:
-    cert = certify_theorem(geom, curve_bounds, mode)
-    return {"preset": preset, **certificate_to_jsonable(cert)}
+    """The certificate as JSON values, with _ROWS in place of the candidate list."""
+    cert = _certify(geom, curve_bounds, mode, lambda geom: ())
+    return {"preset": preset, **certificate_to_jsonable(cert), "candidates": _ROWS}
 
 
 def render_certificate(report: dict) -> str:
@@ -329,8 +344,7 @@ def render_certificate(report: dict) -> str:
         f"Case 3 (higher rank): min ch2H = {case3['min_ch2H']}, ext1 cap = "
         f"{case3['ext1_cap']}, worst ch3 bound = {case3['worst_bound']} -> {status}"
     )
-    pairs = " ".join(f"({c['r']},{c['c2H']})" for c in report["candidates"])
-    lines.append(f"candidates (r, c2H): {pairs}")
+    lines.append(f"candidates (r, c2H):{report['candidates']}")
     if report["violated_betas"]:
         lines.append(f"curve hypothesis violated at beta = {report['violated_betas']}")
     lines.append(f"verdict: {report['verdict']}")
@@ -340,8 +354,29 @@ def render_certificate(report: dict) -> str:
 def cmd_certify(args) -> int:
     geom = _require_geometry(args)
     bounds = [_parse_curve_bound(text) for text in args.curve_bound]
+    ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
     report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])
-    _emit(args, report, render_certificate)
+    write = sys.stdout.write
+    if args.json:
+        import json  # here only: a text command never loads it
+        from itertools import islice
+        # json.dumps(indent=2) is pure Python and holds all its pieces at once, about 8x its
+        # output, so the pieces are joined and written here a block at a time instead.
+        pieces = json.JSONEncoder(indent=2).iterencode(report)
+        for block in iter(lambda: "".join(islice(pieces, _BLOCK_ROWS)), ""):
+            head, rows, tail = block.partition(f'"{_ROWS}"')
+            write(head)
+            if rows:
+                _write_rows(geom.d, ranks, 4)
+                write("\n  ]" + tail)
+    else:  # " (r,c2H)" per candidate, one join per rank
+        head, _, tail = render_certificate(report).partition(_ROWS)
+        pairs = list(map(",%d)".__mod__, range((geom.d + 1) // 2)))
+        write(head)
+        for r, lo in ranks:
+            write(f" ({r}" + f" ({r}".join(pairs[lo:]))
+        write(tail)
+    write("\n")
     return _VERDICT_EXIT[report["verdict"]]
 
 

@@ -26,7 +26,8 @@ from .rationals import Record, _shown, exact_int, parse_int
 def check_degree(d: int) -> None:
     """Raise ValueError unless the polarization degree d = H^3 is a positive int (not a bool)."""
     if type(d) is not int or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+        shown = _shown(d) if type(d) is int else repr(d)  # a value of another type by its repr
+        raise ValueError(f"d must be a positive integer, got {shown}")
 
 
 def derive_dimH(d: int, c2XH: int) -> int:
@@ -39,12 +40,13 @@ def derive_dimH(d: int, c2XH: int) -> int:
     check_degree(d)
     twelve_chi = 2 * d + exact_int(c2XH, "c2XH")
     if twelve_chi % 12:
-        raise NonIntegralGeometry(f"chi(O(H)) = {Fraction(twelve_chi, 12)} is not an integer "
-                                  f"for fields d={d}, c2h={c2XH}")
+        raise NonIntegralGeometry(f"chi(O(H)) = {_shown(Fraction(twelve_chi, 12))} is not an "
+                                  f"integer for fields d={_shown(d)}, c2h={_shown(c2XH)}")
     chi = twelve_chi // 12
     if chi < 1:
         raise NegativeLinearSystem(
-            f"chi(O(H)) = {chi} gives dim|H| = {chi - 1} < 0 for fields d={d}, c2h={c2XH}"
+            f"chi(O(H)) = {_shown(chi)} gives dim|H| = {_shown(chi - 1)} < 0 for fields "
+            f"d={_shown(d)}, c2h={_shown(c2XH)}"
         )
     return chi - 1
 
@@ -61,7 +63,7 @@ class PolarizedCY3(Record):
         expected = derive_dimH(d, c2XH)
         if dimH != expected:
             raise InconsistentGeometry(
-                f"field dimh = {dimH} contradicts d/6 + c2h/12 - 1 = {expected}"
+                f"field dimh = {_shown(dimH)} contradicts d/6 + c2h/12 - 1 = {_shown(expected)}"
             )
         super().__init__(d, c2XH, dimH, castelnuovo_known)
 
@@ -83,7 +85,7 @@ class CurveBound(Record):
 
     def __init__(self, beta: int, chi_min: int):
         if exact_int(beta, "beta") < 1:
-            raise ValueError(f"beta must be >= 1, got {beta}")
+            raise ValueError(f"beta must be >= 1, got {_shown(beta)}")
         super().__init__(beta, exact_int(chi_min, "chi_min"))
 
 

@@ -77,9 +77,15 @@ def parse_int(text: str) -> int:
 
 
 def _shown(value) -> str:
-    """repr(value), or past 20 characters the first 20 and the length: one line on stderr."""
-    text = value if isinstance(value, str) else repr(value)
-    return repr(value) if len(text) <= 20 else f"{text[:20] + '…'!r} ({len(text)} characters)"
+    """A string's repr or a number's str, or past 20 characters the first 20 and the
+    length: one line on stderr."""
+    try:
+        text = value if isinstance(value, str) else str(value)
+    except ValueError:  # an integer past str()'s digit limit
+        return f"a number of {value.numerator.bit_length()} bits"
+    if len(text) > 20:
+        return f"{text[:20] + '…'!r} ({len(text)} characters)"
+    return repr(value) if isinstance(value, str) else text
 
 
 def format_rational(value: Fraction | int) -> str:

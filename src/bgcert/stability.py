@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from .chern import ChernVector
 from .errors import NegativeRank, NoPositiveRoot, ZeroRank
-from .rationals import INFINITY, ExtendedRational, Record, exact_int, exact_rational
+from .rationals import INFINITY, ExtendedRational, Record, _shown, exact_int, exact_rational
 
 
 def slope_mu(geom, ch: ChernVector) -> ExtendedRational:
     """Slope c1.H^2 / rank = c1 d / ch0; +inf on rank-zero (torsion) classes."""
     if ch.ch0 < 0:
-        raise NegativeRank(f"slope undefined for negative rank {ch.ch0}")
+        raise NegativeRank(f"slope undefined for negative rank {_shown(ch.ch0)}")
     if ch.ch0 == 0:
         return INFINITY
     return Fraction(ch.c1 * geom.d, ch.ch0)
@@ -47,7 +47,7 @@ def _nu_pair(geom, ch: ChernVector, t) -> tuple[int, int] | None:
     t = exact_rational(t, "t")
     p, q = t.numerator, t.denominator
     if p <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+        raise ValueError(f"t must be positive, got {_shown(t)}")
     if ch.c1 == 0:
         return None
     a, b = ch.ch2H.numerator, ch.ch2H.denominator

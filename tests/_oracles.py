@@ -6,12 +6,13 @@ scans) and shares no formula with the package under test.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
-from bgcert.certifier import Case1Trace
+from bgcert.certifier import Case1Trace, certificate_to_jsonable, certify_theorem
 from bgcert.chern import ChernVector
 from bgcert.errors import (
     BgcertError,
@@ -337,3 +338,57 @@ def row_by_row_render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
         for n, (r, c) in enumerate(rows, 1):
             write(f"({r}{tails[c]}")
         write(f"{n} candidate(s)\n")
+
+
+# --- certify as first written: the whole certificate held, then printed ------------
+# The reference for the CLI's streamed certificate.
+
+def held_render_certificate(report: dict) -> str:
+    geom = report["geometry"]
+    name = report["preset"] or "custom"
+    lines = [
+        f"certificate for {name}: d = {geom['d']}, c2(X).H = {geom['c2XH']}, "
+        f"dim|H| = {geom['dimH']}",
+        f"hypothesis mode: {report['hypothesis_mode']}",
+    ]
+    hyp = report["hypothesis"]
+    if hyp["applicable"]:
+        lines.append(
+            f"linear-system hypothesis: dim|H| = {hyp['dimH']} vs threshold "
+            f"{hyp['threshold']} -> {'pass' if hyp['holds'] else 'fail'}"
+        )
+    else:
+        lines.append("linear-system hypothesis: not applicable (odd degree)")
+    lines.append(f"castelnuovo status: {report['castelnuovo_status']}")
+    case1 = report["case1"]
+    lines.append(
+        f"Case 1 (points): ch3 bound holds for all lengths: "
+        f"{'yes' if case1['holds_for_all_lengths'] else 'no'}; equality at lengths "
+        f"{case1['equality_lengths']} with value {case1['equality_value']}"
+    )
+    lines.append("Case 2 (curves):")
+    for row in report["case2"]:
+        lines.append(
+            f"  beta = {row['beta']}: chi_min = {row['chi_min']} ({row['source']}), "
+            f"ch3 bound = {row['ch3_bound']} -> {'ok' if row['ok'] else 'VIOLATED'}"
+        )
+    case3 = report["case3"]
+    status = "impossible (vacuous)" if case3["impossible"] else ("ok" if case3["ok"] else "FAIL")
+    lines.append(
+        f"Case 3 (higher rank): min ch2H = {case3['min_ch2H']}, ext1 cap = "
+        f"{case3['ext1_cap']}, worst ch3 bound = {case3['worst_bound']} -> {status}"
+    )
+    pairs = " ".join(f"({c['r']},{c['c2H']})" for c in report["candidates"])
+    lines.append(f"candidates (r, c2H): {pairs}")
+    if report["violated_betas"]:
+        lines.append(f"curve hypothesis violated at beta = {report['violated_betas']}")
+    lines.append(f"verdict: {report['verdict']}")
+    return "\n".join(lines)
+
+
+def held_certify_outputs(geom: PolarizedCY3, preset, curve_bounds, mode) -> tuple[str, str]:
+    """The stdout of `certify`, text and --json, from the whole certificate held as a
+    dict: json.dumps(indent=2) of it, or the text rendered from it, and a newline."""
+    cert = certify_theorem(geom, curve_bounds, mode)
+    report = {"preset": preset, **certificate_to_jsonable(cert)}
+    return held_render_certificate(report) + "\n", json.dumps(report, indent=2) + "\n"

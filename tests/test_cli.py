@@ -21,10 +21,11 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from _oracles import naive_candidates, row_by_row_render_enumerate
+from _oracles import held_certify_outputs, naive_candidates, row_by_row_render_enumerate
 import bgcert
 from bgcert import certifier
 from bgcert.cli import (
+    _MODES,
     build_certify_report,
     build_eval_report,
     build_geom_report,
@@ -32,7 +33,7 @@ from bgcert.cli import (
     render_enumerate,
 )
 from bgcert.chern import ChernVector
-from bgcert.geometry import CONFIG_MAX_BYTES, PolarizedCY3, from_preset
+from bgcert.geometry import CONFIG_MAX_BYTES, CurveBound, PolarizedCY3, from_preset
 from bgcert.rationals import to_jsonable
 
 
@@ -170,24 +171,47 @@ class _CountingSink:
         pass
 
 
-@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
-def test_enumerate_memory_stays_below_its_output(flags):
-    # Rows are written in blocks of 256 as they are made: the traced peak must stay
-    # below the output (about 0.8x in text and 0.4x in JSON; blocks of 512 rows
-    # were above it in text; a whole report held at once was about 17x).
-    argv = ["enumerate", "--d", "2001", "--c2h", "6", *flags]
+def _traced(call):
+    """(traced peak, characters written) of call(), run once untraced first so that
+    one-time costs (imports, parser caches) stay out of the peak."""
     with contextlib.redirect_stdout(_CountingSink()):
-        assert main(argv) == 0  # one-time costs (imports, parser caches) before tracing
+        call()
     sink = _CountingSink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            assert main(argv) == 0
+            call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.chars > 190_000
-    assert peak < sink.chars
+    return peak, sink.chars
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_enumerate_memory_stays_below_its_output(flags):
+    # Rows are written in blocks of 256 as they are made: the traced peak must stay
+    # below the output (about 0.5x in text and 0.25x in JSON; blocks of 512 rows
+    # were above it in text; a whole report held at once was about 17x).
+    argv = ["enumerate", "--d", "2001", "--c2h", "6", *flags]
+    peak, chars = _traced(lambda: main(argv))
+    assert chars > 190_000
+    assert peak < chars
+
+
+def test_enumerate_keeps_only_the_tails_that_ranks_3_and_up_share():
+    # The tails below rank 3's floor ceil(d/3) serve ranks 1 and 2 alone, and are made per
+    # block: the traced peak is about 390 kB, against 1,073 kB with every tail kept.
+    peak, chars = _traced(lambda: render_enumerate(PolarizedCY3.derive(20001, 6), True))
+    assert chars == 6_369_021
+    assert peak < 600_000
+
+
+def test_certify_memory_stays_below_its_output():
+    # The candidates are written in blocks, and the JSON encoder's pieces as they come:
+    # the traced peak is about 0.5x the output; the certificate held whole was about 14x.
+    peak, chars = _traced(lambda: main(["certify", "--d", "20001", "--c2h", "6", "--json"]))
+    assert chars > 8_000_000
+    assert peak < chars
 
 
 def _rendered(render, d, as_json):
@@ -341,7 +365,51 @@ def test_certify_quintic_violating_curve_bound(capsys):
 def test_certify_json_round_trip(capsys):
     code, out, _ = run(capsys, "certify", "--preset", "quintic", "--json")
     assert code == 0
-    assert json.loads(out) == build_certify_report(from_preset("quintic"), "quintic", [], "auto")
+    # The report holds a placeholder where cmd_certify writes the candidate rows.
+    report = build_certify_report(from_preset("quintic"), "quintic", [], "auto")
+    candidates = to_jsonable(certifier.enumerate_candidates(from_preset("quintic")))
+    assert json.loads(out) == {**report, "candidates": candidates}
+
+
+def _assert_certify_is_held_certificate(capsys, argv, geom, preset, bounds, mode):
+    """certify's stdout, text and --json, is the bytes of the whole certificate held."""
+    for flags, want in zip(((), ("--json",)), held_certify_outputs(geom, preset, bounds, mode)):
+        code, out, err = run(capsys, "certify", *argv, *flags)
+        assert code in (0, 1, 2) and err == ""
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+            len(want), hashlib.sha256(want.encode()).hexdigest()), (argv, flags)
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("preset", ["quintic", "ci24", "ci223"])
+def test_certify_streams_the_held_certificate_for_every_preset(capsys, preset, mode):
+    argv = ["--preset", preset, "--mode", mode]
+    _assert_certify_is_held_certificate(capsys, argv, from_preset(preset), preset, [], _MODES[mode])
+
+
+# Odd and even d, d = 1 and 2 with no Case 2 row, supplied curve bounds (held, violated
+# and given twice), PR 20's block-edge degrees, and 35,333, the largest d under the limit.
+@pytest.mark.parametrize("d,c2h,bounds,known", [
+    (1, 10, (), False), (2, 8, (), False), (2001, 6, (), False), (2000, 8, (), False),
+    (5, 50, ((2, -1), (1, 0)), True), (5, 50, ((2, -2),), False),
+    (30, 60, ((3, -5), (3, -4), (14, 0)), True),
+    *((d, 12 - 2 * d, (), False) for d in (295, 298, 311, 410, 1031, 1165)),
+    (35333, 2, (), False),
+])
+def test_certify_streams_the_held_certificate(capsys, d, c2h, bounds, known):
+    argv = ["--d", str(d), "--c2h", str(c2h), *(f"--curve-bound={b}:{c}" for b, c in bounds)]
+    geom = PolarizedCY3.derive(d, c2h, known)
+    _assert_certify_is_held_certificate(capsys, argv + ["--castelnuovo-known"] * known, geom,
+                                        None, [CurveBound(b, c) for b, c in bounds], "auto")
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_certify_past_the_limit_by_one_degree_is_exit_3_before_any_output(capsys, flags):
+    # 35,335 is the smallest degree with more than MAX_CANDIDATES candidates.
+    assert certifier.candidate_count(35333) <= certifier.MAX_CANDIDATES
+    code, out, err = run(capsys, "certify", "--d", "35335", "--c2h", "10", *flags)
+    assert (code, out) == (3, "")
+    assert err == "error: TooManyCandidates: d = 35335 has more than 200000 candidates\n"
 
 
 def test_certify_bad_curve_bound_syntax(capsys):
@@ -608,6 +676,18 @@ def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, 
         assert line in out.splitlines() and err == ""
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--preset", "", "--d", "5", "--c2h", "50"], "error: ConfigError: give either --preset or "
+     "a custom geometry (--d/--c2h/--config), not both"),
+    (["--preset", ""], "error: UnknownPreset: unknown preset ''; available: ci223, ci24, quintic"),
+    (["--config", "", "--preset", "quintic"], "error: FileNotFoundError: "),
+], ids=["preset-with-flags", "preset-alone", "config-with-preset"])
+def test_an_empty_preset_or_config_is_given_not_absent(capsys, argv, line):
+    code, out, err = run(capsys, "geom", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(line) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("flag, value", [("--d", "5_0"), ("--d", "\u0665"), ("--d", "+5"),
                                          ("--c2h", "5_0"), ("--dimh", "4_")])
 def test_integer_flags_follow_the_rational_grammar(capsys, tmp_path, flag, value):
@@ -835,14 +915,19 @@ def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv, config):
 # integer of 13 digits or fewer; "7" makes one over int()'s digit limit.
 _LONG = st.sampled_from(["x", "7", "7/", "1,", "1:", "-", "é", "٥", "\n", "'", '"',
                          " ", "=", "#"]).map(lambda filler: (filler * 5000)[:5000])
+# A well-formed integer of 21 digits up to int()'s limit of 4,300, which a domain error may
+# echo: chi(O(H)), a contradicted dimh, a beta out of range, a rank of zero or below.
+_NUMBER = st.builds(lambda sign, digit, n: sign + digit * n, st.sampled_from(["", "-"]),
+                    st.sampled_from("123456789"), st.integers(21, 4300))
 _LONG_SLOTS = ["--preset", "--d", "--c2h", "--dimh", "--ch", "--t", "--curve-bound",
                "config value", "config key twice"]
 
 
 @st.composite
 def _one_long_value(draw):
-    """(argv, config text or None) in which one typed value is 5,000 characters long."""
-    value, slot = draw(_LONG), draw(st.sampled_from(_LONG_SLOTS))
+    """(argv, config text or None) in which one typed value is long: 5,000 characters, or
+    a well-formed integer of up to 4,300 digits."""
+    value, slot = draw(_LONG | _NUMBER), draw(st.sampled_from(_LONG_SLOTS))
     command = draw(st.sampled_from(["geom", "enumerate", "certify"]))
     op = draw(st.sampled_from(["chi", "mu", "nu", "bg", "ineq12"]))
     if slot == "--preset":
@@ -850,14 +935,15 @@ def _one_long_value(draw):
     if slot in ("--d", "--c2h", "--dimh"):
         fields = {"d": "5", "c2h": "50", slot[2:]: value}
         return [command, *(f"--{key}={v}" for key, v in fields.items())], None
-    if slot == "--ch":  # the value whole, or as a c1 of 4,000 characters over 2
-        ch = draw(st.sampled_from([value, f"1,{value[:4000]}/2,1,0"]))
+    if slot == "--ch":  # the value whole, as a c1 of 4,000 characters over 2, or as ch0
+        ch = draw(st.sampled_from([value, f"1,{value[:4000]}/2,1,0", f"{value},1,0,0"]))
         return ["eval", "--op", op, "--preset", "quintic", f"--ch={ch}"], None
     if slot == "--t":
         return ["eval", "--op", op, "--preset", "quintic", "--ch", "1,1,5/2,5/6",
                 f"--t={value}"], None
     if slot == "--curve-bound":
-        return ["certify", "--preset", "quintic", f"--curve-bound={value}"], None
+        bound = draw(st.sampled_from([value, f"{value}:0", f"1:{value}"]))
+        return ["certify", "--preset", "quintic", f"--curve-bound={bound}"], None
     if slot == "config value":
         field = draw(st.sampled_from(["d", "c2h", "dimh", "castelnuovo_known"]))
         pairs = [*{"d": "5", "c2h": "50", field: value}.items()]
@@ -891,3 +977,12 @@ def test_a_long_typed_value_gives_one_short_error_line(case):
         return
     assert out.getvalue() == "" and line.startswith("error: "), (argv, line)
     assert line.endswith("\n") and line.count("\n") == 1 and len(line.encode()) < 300, line
+
+
+def test_a_number_past_the_digit_limit_of_str_is_shown_by_its_size(capsys):
+    # 2d + c2h has 4,301 digits, one past what str() writes of an int, and 12 does not
+    # divide it, so chi(O(H)) cannot be echoed even in part.
+    code, out, err = run(capsys, "geom", "--d", "9" * 4300, "--c2h", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: NonIntegralGeometry: chi(O(H)) = a number of 14286 bits is not an "
+                   "integer for fields d='99999999999999999999…' (4300 characters), c2h=1\n")

@@ -53,3 +53,13 @@ def test_tests_that_fail_unmutated_run_no_mutant(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "the named tests fail on the unmodified checkout: no mutant was run\n"
+
+
+def test_the_copies_hold_perfbench_when_there_is_one(tmp_path):
+    # A test that loads perfbench/ passes unmutated, so the lines it covers can be probed.
+    _checkout(tmp_path, "from pathlib import Path\n\n\ndef test_bench():\n"
+                        "    bench = Path(__file__).resolve().parents[1] / 'perfbench'\n"
+                        "    assert (bench / 'run.py').read_text() == 'RUNS = 1\\n'\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("RUNS = 1\n")
+    assert probe.outcomes(str(tmp_path), [None], ["tests/test_loop.py"], None) == ["passed"]

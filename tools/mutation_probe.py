@@ -9,14 +9,15 @@ equality (`<` and `<=`, `>` and `>=` trade places), `and` and `or` trade
 places, and an integer constant moves by +1 and by -1.
 
 The named tests first run once on an unmodified copy of the checkout (`src/`,
-`tests/`, `pyproject.toml`); if they fail there, the probe says so in one line
-and exits 2 without running a mutant. Then each mutant runs the named tests
-with `pytest -x` in its own throwaway copy under the system temporary
-directory, two mutants at a time. A mutant is killed when pytest exits
-non-zero, or when it runs past 10 times the unmodified run plus 60 s: then it
-is killed with its whole process group and printed as `killed (timeout)`.
-Each run's address space is capped at 1 GiB. The survivors are printed with
-their line; the last line is the count. Run it from the root of a checkout.
+`tests/`, `perfbench/` when there is one, `pyproject.toml`); if they fail
+there, the probe says so in one line and exits 2 without running a mutant.
+Then each mutant runs the named tests with `pytest -x` in its own throwaway
+copy under the system temporary directory, two mutants at a time. A mutant is
+killed when pytest exits non-zero, or when it runs past 10 times the
+unmodified run plus 60 s: then it is killed with its whole process group and
+printed as `killed (timeout)`. Each run's address space is capped at 1 GiB.
+The survivors are printed with their line; the last line is the count. Run it
+from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def start_tests(copy: str, root: str, tests: list[str], mutant=None) -> subproce
     """pytest -x on the named tests in `copy`, made a copy of the checkout at `root` with
     the one (path, row, mutated line) of `mutant` written into it."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
-        shutil.copytree(os.path.join(root, name), os.path.join(copy, name), ignore=ignore)
+    for name in ("src", "tests", "perfbench"):  # some tests load perfbench/, when there is one
+        if os.path.isdir(os.path.join(root, name)):
+            shutil.copytree(os.path.join(root, name), os.path.join(copy, name), ignore=ignore)
     shutil.copy(os.path.join(root, "pyproject.toml"), copy)
     if mutant is not None:
         path, row, mutated = mutant
