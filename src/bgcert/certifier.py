@@ -18,7 +18,6 @@ from .errors import BetaOutOfRange, NonpositiveCh2H, TooManyCandidates, ZeroRank
 from .geometry import (
     CurveBound,
     PolarizedCY3,
-    castelnuovo_range,
     check_degree,
     default_chi_min,
     even_threshold,
@@ -72,14 +71,17 @@ class Case2Row(Record):
     __slots__ = ("beta", "chi_min", "ch3_bound", "ok", "source")  # source: "default" or "supplied"
 
 
-def case2_check(
+def case2_rows(
     geom: PolarizedCY3,
     bounds: Optional[Iterable[CurveBound]] = None,
-) -> list[Case2Row]:
-    """One row per curve degree in range: ch3 <= d/6 - beta - chi_min.
+) -> Iterator[Case2Row]:
+    """One row per curve degree 1 <= beta < d/2, by beta: ch3 <= d/6 - beta - chi_min.
+    The bounds are checked at the call; the rows are made as they are read.
 
     Degrees without a supplied bound take the weakest admissible floor
-    ceil(d/6 - beta). Duplicate supplied degrees keep the smallest chi_min.
+    ceil(d/6 - beta) = ceil(d/6) - beta. Their bound d/6 - beta - chi_min is then
+    the one constant d/6 - ceil(d/6), 0 or -k/6 for k = 1 to 5, so a default row
+    is always ok. Duplicate supplied degrees keep the smallest chi_min.
     """
     supplied: dict[int, int] = {}
     for cb in bounds or ():
@@ -88,15 +90,22 @@ def case2_check(
                 f"beta = {_shown(cb.beta)} outside 1 <= beta < d/2 = {_shown(Fraction(geom.d, 2))}"
             )
         supplied[cb.beta] = min(cb.chi_min, supplied.get(cb.beta, cb.chi_min))
-    rows = []
-    for beta in castelnuovo_range(geom):
+    return _case2_rows(geom, supplied)
+
+
+def _case2_rows(geom: PolarizedCY3, supplied: dict[int, int]) -> Iterator[Case2Row]:
+    for beta in range(1, (geom.d + 1) // 2):
         if beta in supplied:
             chi, source = supplied[beta], "supplied"
         else:
             chi, source = default_chi_min(geom, beta), "default"
         numerator = geom.d - 6 * (beta + chi)  # 6 (d/6 - beta - chi)
-        rows.append(Case2Row(beta, chi, Fraction(numerator, 6), numerator <= 0, source))
-    return rows
+        yield Case2Row(beta, chi, Fraction(numerator, 6), numerator <= 0, source)
+
+
+def case2_check(geom: PolarizedCY3, bounds=None) -> list[Case2Row]:
+    """The rows of case2_rows as a list."""
+    return list(case2_rows(geom, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +162,8 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 
 # Enumeration and certification refuse a degree with more candidates than
 # this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`
-# takes about 0.15 s and 15 MB, and `certify --json` about 0.4 s and 22 MB,
-# since both write the candidates in blocks of 256 rows (2-core VM, Python 3.11).
+# takes about 0.08 s and 15 MB, and `certify` about 0.19 s and 16 MB in text or
+# JSON, since both write their long lists in blocks of 256 rows (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 
@@ -290,16 +299,17 @@ def certify_theorem(
     violate the curve hypothesis make hypothesis_ok false (the theorem's own
     assumptions are contradicted by the input data).
     """
-    return _certify(geom, curve_bounds, mode, enumerate_candidates)
+    mode = mode if mode == "auto" else HypothesisMode(mode)  # refused before the limit
+    candidates = enumerate_candidates(geom)  # TooManyCandidates before the d/2 Case 2 rows
+    return _certify(geom, mode, case2_check(geom, curve_bounds), candidates)
 
 
-def _certify(geom: PolarizedCY3, curve_bounds, mode, candidates_of) -> Certificate:
-    """certify_theorem with the candidates candidates_of(geom); the CLI's gives none."""
+def _certify(geom: PolarizedCY3, mode, rows, candidates) -> Certificate:
+    """The certificate of these Case 2 rows and candidates. The CLI's holds the supplied
+    rows alone and no candidates, and writes the rest in their places as it streams."""
     hypothesis = _resolve_mode(geom, mode)
-    # Before case2_check, which builds d/2 rows: this raises TooManyCandidates first.
-    candidates = tuple(candidates_of(geom))
-    rows = case2_check(geom, curve_bounds)
-    violated = tuple(row.beta for row in rows if row.source == "supplied" and not row.ok)
+    rows, candidates = tuple(rows), tuple(candidates)
+    violated = tuple(row.beta for row in rows if not row.ok)  # a default row is always ok
     hypothesis_ok = hypothesis.holds and not violated
 
     case1 = case1_check(geom)
@@ -315,10 +325,11 @@ def _certify(geom: PolarizedCY3, curve_bounds, mode, candidates_of) -> Certifica
     if not hypothesis_ok:
         verdict = Verdict.HYPOTHESIS_FAIL
     else:
-        numerics_ok = case1.holds_for_all_lengths and all(r.ok for r in rows) and case3.ok
+        numerics_ok = case1.holds_for_all_lengths and case3.ok
         if not numerics_ok:
-            # Unreachable: the worst Case 3 bound being <= 0 is equivalent to
-            # the mode hypothesis, and default Case 2 floors never violate.
+            # Unreachable: the worst Case 3 bound being <= 0 is equivalent to the mode
+            # hypothesis. Case 2 needs no term: a supplied row that fails is a violation,
+            # and a default row's bound is d/6 - ceil(d/6) <= 0 (case2_rows).
             raise RuntimeError("internal: numeric case checks failed with hypotheses satisfied")
         # Passing numerics are strict: Case 1 is tight only at l = 0, and every Case 2
         # and Case 3 bound is <= 0 (Case 3 is vacuous only at d <= 2, with a bound < 0).
@@ -326,4 +337,4 @@ def _certify(geom: PolarizedCY3, curve_bounds, mode, candidates_of) -> Certifica
         verdict = Verdict.CERTIFIED_STRICT if asserted else Verdict.CONDITIONAL
 
     return Certificate(geom, hypothesis.mode, hypothesis, hypothesis_ok, status,
-                       case1, tuple(rows), case3, candidates, violated, verdict)
+                       case1, rows, case3, candidates, violated, verdict)

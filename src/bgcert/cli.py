@@ -11,7 +11,7 @@ For geom, certify and eval, the JSON and human renderings are generated from
 the same report value. The candidates of enumerate and certify are written from
 the same rank iterator, `certifier.candidate_ranks`, a rank's rows as one C join
 of its head over their tails, and never held as a list. So the two views can
-never disagree.
+never disagree. certify's Case 2 rows stream likewise, from `certifier.case2_rows`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from itertools import islice
 
 from .certifier import (
     Verdict,
     _certify,
     candidate_ranks,
+    case2_rows,
     certificate_to_jsonable,
     check_ineq_1_2,
     hypothesis_checks,
@@ -54,9 +56,9 @@ _VERDICT_EXIT = {
 
 _MODES = {"auto": "auto", "full": "full_1_3", "even": "even_variant"}
 
-# Rows per write call of `enumerate` and `certify`, and pieces of certify's JSON
-# encoder per write call. Larger blocks save little more time and hold more
-# memory at once; the traced peak must stay below the output.
+# Rows per write call of `enumerate` and of certify's two long lists. Larger
+# blocks save little more time and hold more memory at once; the traced peak
+# must stay below the output.
 _BLOCK_ROWS = 256
 
 
@@ -300,13 +302,37 @@ def cmd_enumerate(args) -> int:
 # certify
 
 
-_ROWS = "<candidates>"  # where cmd_certify writes the candidates into a certify report
+# Where cmd_certify writes the two long lists into the rendering of a certify report.
+_CASE2, _CANDIDATES = "<case2>", "<candidates>"
+# A Case 2 row in text and in JSON, from its record, ch3 bound and word for ok, with
+# the words and the separator between rows.
+_CASE2_ROW = {
+    False: ("\n  beta = {0.beta}: chi_min = {0.chi_min} ({0.source}), ch3 bound = {1} -> {2}",
+            ("VIOLATED", "ok"), ""),
+    True: ('\n    {{\n      "beta": {0.beta},\n      "chi_min": {0.chi_min},\n      "ch3_bound": '
+           '"{1}",\n      "ok": {2},\n      "source": "{0.source}"\n    }}', ("false", "true"), ","),
+}
 
 
 def build_certify_report(geom: PolarizedCY3, preset: str | None, curve_bounds, mode) -> dict:
-    """The certificate as JSON values, with _ROWS in place of the candidate list."""
-    cert = _certify(geom, curve_bounds, mode, lambda geom: ())
-    return {"preset": preset, **certificate_to_jsonable(cert), "candidates": _ROWS}
+    """The certificate of the supplied Case 2 rows alone and no candidates as JSON values,
+    with _CASE2 and _CANDIDATES in place of the two lists."""
+    rows = [row for row in case2_rows(geom, curve_bounds) if row.source == "supplied"]
+    report = {"preset": preset, **certificate_to_jsonable(_certify(geom, mode, rows, ()))}
+    return {**report, "case2": _CASE2, "candidates": _CANDIDATES}
+
+
+def _write_case2(rows, as_json: bool) -> None:
+    """Write the Case 2 rows of an iterator to stdout, 256 per write call: text lines, or
+    the list of a json.dumps(indent=2) report, "[]" when there is no row (d <= 2)."""
+    template, words, sep = _CASE2_ROW[as_json]
+    write, lead = sys.stdout.write, "[" if as_json else ""
+    while block := [template.format(row, format_rational(row.ch3_bound), words[row.ok])
+                    for row in islice(rows, _BLOCK_ROWS)]:
+        write(lead + sep.join(block))
+        lead = sep
+    if as_json:
+        write("\n  ]" if lead == sep else "[]")
 
 
 def render_certificate(report: dict) -> str:
@@ -332,12 +358,7 @@ def render_certificate(report: dict) -> str:
         f"{'yes' if case1['holds_for_all_lengths'] else 'no'}; equality at lengths "
         f"{case1['equality_lengths']} with value {case1['equality_value']}"
     )
-    lines.append("Case 2 (curves):")
-    for row in report["case2"]:
-        lines.append(
-            f"  beta = {row['beta']}: chi_min = {row['chi_min']} ({row['source']}), "
-            f"ch3 bound = {row['ch3_bound']} -> {'ok' if row['ok'] else 'VIOLATED'}"
-        )
+    lines.append(f"Case 2 (curves):{report['case2']}")
     case3 = report["case3"]
     status = "impossible (vacuous)" if case3["impossible"] else ("ok" if case3["ok"] else "FAIL")
     lines.append(
@@ -355,28 +376,26 @@ def cmd_certify(args) -> int:
     geom = _require_geometry(args)
     bounds = [_parse_curve_bound(text) for text in args.curve_bound]
     ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
-    report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])
-    write = sys.stdout.write
+    report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])  # and BetaOutOfRange
     if args.json:
         import json  # here only: a text command never loads it
-        from itertools import islice
-        # json.dumps(indent=2) is pure Python and holds all its pieces at once, about 8x its
-        # output, so the pieces are joined and written here a block at a time instead.
-        pieces = json.JSONEncoder(indent=2).iterencode(report)
-        for block in iter(lambda: "".join(islice(pieces, _BLOCK_ROWS)), ""):
-            head, rows, tail = block.partition(f'"{_ROWS}"')
-            write(head)
-            if rows:
-                _write_rows(geom.d, ranks, 4)
-                write("\n  ]" + tail)
+        rendering, quote = json.dumps(report, indent=2), '"'
+    else:
+        rendering, quote = render_certificate(report), ""
+    head, _, rest = rendering.partition(quote + _CASE2 + quote)
+    middle, _, tail = rest.partition(quote + _CANDIDATES + quote)
+    write = sys.stdout.write
+    write(head)
+    _write_case2(case2_rows(geom, bounds), args.json)
+    write(middle)
+    if args.json:
+        _write_rows(geom.d, ranks, 4)
+        write("\n  ]")
     else:  # " (r,c2H)" per candidate, one join per rank
-        head, _, tail = render_certificate(report).partition(_ROWS)
         pairs = list(map(",%d)".__mod__, range((geom.d + 1) // 2)))
-        write(head)
         for r, lo in ranks:
             write(f" ({r}" + f" ({r}".join(pairs[lo:]))
-        write(tail)
-    write("\n")
+    write(tail + "\n")
     return _VERDICT_EXIT[report["verdict"]]
 
 

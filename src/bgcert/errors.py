@@ -47,6 +47,10 @@ class TooManyCandidates(BgcertError):
     """The degree has more candidates than the enumeration limit allows."""
 
 
+class NumberTooLong(BgcertError):
+    """A value to print has more digits than the interpreter writes of an int."""
+
+
 class ConfigError(BgcertError):
     """Invalid CLI or config-file input; carries the offending field when known."""
 

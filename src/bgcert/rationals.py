@@ -22,11 +22,14 @@ sets them; a record with checks validates its fields and then calls it.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cache, total_ordering
 from operator import attrgetter
 from typing import Callable, Union
+
+from .errors import NumberTooLong
 
 RATIONAL_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 INTEGER_GRAMMAR = re.compile(r"-?[0-9]+")
@@ -89,10 +92,16 @@ def _shown(value) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render as "p/q", or just "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render as "p/q", or just "p" when the denominator is 1. Every computed number
+    is printed through here, so a part past str()'s digit limit is a NumberTooLong."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # int's str() has no other ValueError
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise NumberTooLong(f"a result of {bits} bits has more than "
+                            f"{sys.get_int_max_str_digits()} digits to print") from None
 
 
 def to_jsonable(value):

@@ -21,6 +21,7 @@ from _oracles import (
 )
 from bgcert.certifier import (
     Candidate,
+    Case2Row,
     Case3Trace,
     CastelnuovoStatus,
     HypothesisMode,
@@ -31,6 +32,7 @@ from bgcert.certifier import (
     candidate_ranks,
     case1_check,
     case2_check,
+    case2_rows,
     case3_bound,
     certificate_to_jsonable,
     certify_theorem,
@@ -177,6 +179,24 @@ def test_case2_duplicate_betas_keep_smallest_chi():
 @given(geometries)
 def test_case2_default_bounds_never_positive(geom):
     assert all(row.ch3_bound <= 0 and row.ok for row in case2_check(geom))
+
+
+def test_case2_default_bound_is_one_constant_per_degree():
+    # chi_min = ceil(d/6 - beta) = ceil(d/6) - beta, so d/6 - beta - chi_min = d/6 - ceil(d/6).
+    for d in range(1, 400):
+        bound = Q(d, 6) - math.ceil(Q(d, 6))
+        rows = case2_check(PolarizedCY3(d, 12 - 2 * d, 0))
+        assert len(rows) == (d + 1) // 2 - 1
+        assert all((row.ch3_bound, row.ok, row.source) == (bound, True, "default") for row in rows)
+
+
+def test_case2_rows_checks_the_bounds_at_the_call_and_makes_rows_as_read():
+    with pytest.raises(BetaOutOfRange):
+        case2_rows(QUINTIC, [CurveBound(3, 0)])  # never iterated
+    # Half a trillion rows, of which only the first two are made.
+    rows = case2_rows(PolarizedCY3.derive(10**12 + 2, 12), [CurveBound(2, 0)])
+    assert next(rows) == Case2Row(1, 166666666666, Q(0), True, "default")
+    assert next(rows) == Case2Row(2, 0, Q(10**12 - 10, 6), False, "supplied")
 
 
 @st.composite
@@ -393,6 +413,16 @@ def test_certify_refuses_too_many_candidates_before_case2(monkeypatch):
         enumerate_candidates(geom)
     with pytest.raises(TooManyCandidates):
         enumerate_candidates(PolarizedCY3.derive(35335, 10))
+
+
+def test_certify_refuses_a_bad_mode_then_the_limit_then_the_bounds():
+    past_the_limit, out_of_range = PolarizedCY3.derive(35335, 10), [CurveBound(10**6, 0)]
+    with pytest.raises(ValueError, match="'weak'"):
+        certify_theorem(past_the_limit, out_of_range, mode="weak")
+    with pytest.raises(TooManyCandidates):
+        certify_theorem(past_the_limit, out_of_range, mode="full_1_3")
+    with pytest.raises(BetaOutOfRange):
+        certify_theorem(QUINTIC, out_of_range, mode="even_variant")
 
 
 def test_candidate_coerces_ch2H_to_fraction():

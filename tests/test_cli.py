@@ -207,11 +207,13 @@ def test_enumerate_keeps_only_the_tails_that_ranks_3_and_up_share():
 
 
 def test_certify_memory_stays_below_its_output():
-    # The candidates are written in blocks, and the JSON encoder's pieces as they come:
-    # the traced peak is about 0.5x the output; the certificate held whole was about 14x.
-    peak, chars = _traced(lambda: main(["certify", "--d", "20001", "--c2h", "6", "--json"]))
-    assert chars > 8_000_000
-    assert peak < chars
+    # The Case 2 rows and the candidates are written in blocks into one rendering of the
+    # rest: the traced peak is about 0.47x the output in text and 0.05x in JSON. With the
+    # Case 2 rows held it was 2.7x and 0.5x; with the certificate held whole, about 14x.
+    for flags, size in (((), 1_800_000), (("--json",), 8_000_000)):
+        peak, chars = _traced(lambda: main(["certify", "--d", "20001", "--c2h", "6", *flags]))
+        assert chars > size
+        assert peak < chars, flags
 
 
 def _rendered(render, d, as_json):
@@ -365,10 +367,12 @@ def test_certify_quintic_violating_curve_bound(capsys):
 def test_certify_json_round_trip(capsys):
     code, out, _ = run(capsys, "certify", "--preset", "quintic", "--json")
     assert code == 0
-    # The report holds a placeholder where cmd_certify writes the candidate rows.
+    # The report holds a placeholder for each long list, where cmd_certify writes its rows.
     report = build_certify_report(from_preset("quintic"), "quintic", [], "auto")
+    assert (report["case2"], report["candidates"]) == ("<case2>", "<candidates>")
+    case2 = to_jsonable(certifier.case2_check(from_preset("quintic")))
     candidates = to_jsonable(certifier.enumerate_candidates(from_preset("quintic")))
-    assert json.loads(out) == {**report, "candidates": candidates}
+    assert json.loads(out) == {**report, "case2": case2, "candidates": candidates}
 
 
 def _assert_certify_is_held_certificate(capsys, argv, geom, preset, bounds, mode):
@@ -388,13 +392,16 @@ def test_certify_streams_the_held_certificate_for_every_preset(capsys, preset, m
 
 
 # Odd and even d, d = 1 and 2 with no Case 2 row, supplied curve bounds (held, violated
-# and given twice), PR 20's block-edge degrees, and 35,333, the largest d under the limit.
+# and given twice), block-edge degrees, and 35,333, the largest d under the limit.
 @pytest.mark.parametrize("d,c2h,bounds,known", [
     (1, 10, (), False), (2, 8, (), False), (2001, 6, (), False), (2000, 8, (), False),
     (5, 50, ((2, -1), (1, 0)), True), (5, 50, ((2, -2),), False),
     (30, 60, ((3, -5), (3, -4), (14, 0)), True),
     *((d, 12 - 2 * d, (), False) for d in (295, 298, 311, 410, 1031, 1165)),
     (35333, 2, (), False),
+    # Supplied bounds on the edges of the 256-row Case 2 blocks, one violated (at 512).
+    (2001, 6, ((1, 333), (256, 78), (257, 100), (512, -200), (1000, -600)), False),
+    (35333, 2, ((1, 5888), (8833, -2944), (17666, 0)), True),  # first, middle, last beta
 ])
 def test_certify_streams_the_held_certificate(capsys, d, c2h, bounds, known):
     argv = ["--d", str(d), "--c2h", str(c2h), *(f"--curve-bound={b}:{c}" for b, c in bounds)]
@@ -986,3 +993,59 @@ def test_a_number_past_the_digit_limit_of_str_is_shown_by_its_size(capsys):
     assert (code, out) == (3, "")
     assert err == ("error: NonIntegralGeometry: chi(O(H)) = a number of 14286 bits is not an "
                    "integer for fields d='99999999999999999999…' (4300 characters), c2h=1\n")
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["geom", "--d", "9" * 4300, "--c2h", "6"], 14286),  # 7d - 18 in the full threshold
+    (["geom", "--d", "9" * 4300, "--c2h", "6", "--json"], 14286),
+    (["eval", "--op", "bg", "--d", "5", "--c2h", "50", "--ch", f"1,{'9' * 4000},0,0"], 26578),
+    (["certify", "--preset", "quintic", "--curve-bound", f"1:{'9' * 4300}"], 14287),
+], ids=["geom", "geom-json", "eval-bg", "certify-curve-bound"])
+def test_a_result_past_the_digit_limit_of_str_is_one_typed_line(capsys, argv, bits):
+    # Every input is within the limit; the printed result is not. format_rational, which
+    # prints every computed number, answers for it before any byte is written.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: NumberTooLong: a result of {bits} bits has more than "
+                   f"{sys.get_int_max_str_digits()} digits to print\n")
+
+
+# Every integer the command line accepts: 1 to 4,300 digits, either sign, drawn long
+# and positive more often than not, where a result computed from it can pass the limit.
+_INTEGER = st.builds(lambda sign, digit, n: sign + digit * n, st.sampled_from(["", "", "-"]),
+                     st.sampled_from("123456789"),
+                     st.integers(1, 4300) | st.sampled_from([1500, 2200, 4299, 4300]))
+
+
+@st.composite
+def _an_integer_in_every_slot(draw):
+    """argv of any subcommand with a drawn integer in each of its numeric slots. c2h is
+    sometimes the one that makes d consistent, and beta sometimes 1, so that results
+    computed from long inputs are printed too."""
+    command = draw(st.sampled_from(["geom", "enumerate", "certify", "eval"]))
+    d = draw(_INTEGER | st.sampled_from(["5", "30"]))
+    c2h = draw(_INTEGER | st.just(str(-2 * int(d) % 12)))  # 12 divides 2d + c2h
+    argv = [command, f"--d={d}", f"--c2h={c2h}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--dimh={draw(_INTEGER)}")
+    if command == "certify":
+        argv.append(f"--curve-bound={draw(_INTEGER | st.just('1'))}:{draw(_INTEGER)}")
+    if command == "eval":
+        fields = [draw(_INTEGER) for _ in range(4)]
+        fields[2] += draw(st.just("") | _INTEGER.map(lambda q: "/" + q.lstrip("-")))
+        argv += ["--op", draw(st.sampled_from(["chi", "mu", "nu", "bg", "ineq12"])),
+                 f"--ch={','.join(fields)}", f"--t={draw(_INTEGER)}"]
+    return argv + ["--json"] * draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=60)
+@given(_an_integer_in_every_slot())
+def test_any_accepted_integer_ends_in_a_verdict_or_one_short_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    line = err.getvalue()
+    assert code in (0, 1, 2, 3) and "Exceeds" not in line, (argv, line)
+    assert line.count("\n") <= 1 and len(line.encode()) < 300, line
+    if code == 3:
+        assert out.getvalue() == "" and line.startswith("error: "), line
