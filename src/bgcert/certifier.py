@@ -19,7 +19,6 @@ from .geometry import (
     CurveBound,
     PolarizedCY3,
     check_degree,
-    default_chi_min,
     even_threshold,
     full_threshold,
 )
@@ -81,26 +80,30 @@ def case2_rows(
     Degrees without a supplied bound take the weakest admissible floor
     ceil(d/6 - beta) = ceil(d/6) - beta. Their bound d/6 - beta - chi_min is then
     the one constant d/6 - ceil(d/6), 0 or -k/6 for k = 1 to 5, so a default row
-    is always ok. Duplicate supplied degrees keep the smallest chi_min.
+    is always ok: that closed form is how the default rows are made.
     """
-    supplied: dict[int, int] = {}
+    supplied = {row.beta: row for row in supplied_case2_rows(geom, bounds)}
+    top = -(-geom.d // 6)  # ceil(d/6)
+    bound = Fraction(geom.d - 6 * top, 6)
+    return (supplied.get(beta) or Case2Row(beta, top - beta, bound, True, "default")
+            for beta in range(1, (geom.d + 1) // 2))
+
+
+def supplied_case2_rows(geom: PolarizedCY3, bounds: Optional[Iterable[CurveBound]]) -> list[Case2Row]:
+    """The rows of the supplied bounds alone, by beta; a degree given twice keeps its
+    smallest chi_min. Raises BetaOutOfRange for a degree outside 1 <= beta < d/2."""
+    chi_min: dict[int, int] = {}
     for cb in bounds or ():
         if not 1 <= cb.beta < (geom.d + 1) // 2:  # outside castelnuovo_range
             raise BetaOutOfRange(
                 f"beta = {_shown(cb.beta)} outside 1 <= beta < d/2 = {_shown(Fraction(geom.d, 2))}"
             )
-        supplied[cb.beta] = min(cb.chi_min, supplied.get(cb.beta, cb.chi_min))
-    return _case2_rows(geom, supplied)
-
-
-def _case2_rows(geom: PolarizedCY3, supplied: dict[int, int]) -> Iterator[Case2Row]:
-    for beta in range(1, (geom.d + 1) // 2):
-        if beta in supplied:
-            chi, source = supplied[beta], "supplied"
-        else:
-            chi, source = default_chi_min(geom, beta), "default"
+        chi_min[cb.beta] = min(cb.chi_min, chi_min.get(cb.beta, cb.chi_min))
+    rows = []
+    for beta, chi in sorted(chi_min.items()):
         numerator = geom.d - 6 * (beta + chi)  # 6 (d/6 - beta - chi)
-        yield Case2Row(beta, chi, Fraction(numerator, 6), numerator <= 0, source)
+        rows.append(Case2Row(beta, chi, Fraction(numerator, 6), numerator <= 0, "supplied"))
+    return rows
 
 
 def case2_check(geom: PolarizedCY3, bounds=None) -> list[Case2Row]:
@@ -161,9 +164,9 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 # Candidate enumeration.
 
 # Enumeration and certification refuse a degree with more candidates than
-# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json`
-# takes about 0.08 s and 15 MB, and `certify` about 0.19 s and 16 MB in text or
-# JSON, since both write their long lists in blocks of 256 rows (2-core VM, Python 3.11).
+# this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json` takes
+# about 0.08 s and 15 MB, and `certify` about 0.14 s and 17 MB in text, 0.13 s and
+# 16 MB in JSON, as both write long lists 256 rows at a time (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 
@@ -186,9 +189,11 @@ class Candidate(Record):
 def candidate_count(d: int) -> int:
     """Number of candidates at degree d, summed only until it passes MAX_CANDIDATES.
 
-    At c2H = c the ranks 1 .. d // (d - 2c) pass Bogomolov-Gieseker, so each
-    term is at least 1 and the sum stops within MAX_CANDIDATES + 1 terms.
+    At c2H = c the ranks 1 .. d // (d - 2c) pass Bogomolov-Gieseker, so each of the
+    (d + 1) // 2 terms is at least 1, and more terms than the limit need no sum.
     """
+    if (d + 1) // 2 > MAX_CANDIDATES:  # MAX_CANDIDATES + 1 stands for the sum
+        return MAX_CANDIDATES + 1
     total = 0
     for c in range((d + 1) // 2):
         total += d // (d - 2 * c)

@@ -29,6 +29,7 @@ from .certifier import (
     certificate_to_jsonable,
     check_ineq_1_2,
     hypothesis_checks,
+    supplied_case2_rows,
 )
 from .chern import ChernVector, euler_characteristic
 from .errors import BgcertError, ConfigError
@@ -189,12 +190,8 @@ def build_geom_report(geom: PolarizedCY3, preset: str | None) -> dict:
         "dimH": geom.dimH,
         "chi_OH": geom.chi_OH,
         "castelnuovo_known": geom.castelnuovo_known,
-        "hypothesis_full": {"threshold": format_rational(full.threshold), "holds": full.holds},
-        "hypothesis_even": {
-            "applicable": even.applicable,
-            "threshold": format_rational(even.threshold) if even.applicable else None,
-            "holds": even.holds if even.applicable else None,
-        },
+        "hypothesis_full": to_jsonable(full),
+        "hypothesis_even": to_jsonable(even),
     }
 
 
@@ -205,19 +202,12 @@ def render_geom(report: dict) -> str:
         f"dim|H| = {report['dimH']}, chi(O(H)) = {report['chi_OH']}",
         f"castelnuovo bound known: {'yes' if report['castelnuovo_known'] else 'no'}",
     ]
-    full = report["hypothesis_full"]
-    lines.append(
-        f"hypothesis dim|H| >= 7d/6 - 3: {'pass' if full['holds'] else 'fail'} "
-        f"({report['dimH']} vs {full['threshold']})"
-    )
-    even = report["hypothesis_even"]
-    if even["applicable"]:
-        lines.append(
-            f"even-degree variant dim|H| >= 2d/3 - 3: {'pass' if even['holds'] else 'fail'} "
-            f"({report['dimH']} vs {even['threshold']})"
-        )
-    else:
-        lines.append("even-degree variant dim|H| >= 2d/3 - 3: n/a (odd degree)")
+    for key, claim in (("hypothesis_full", "hypothesis dim|H| >= 7d/6 - 3"),
+                       ("hypothesis_even", "even-degree variant dim|H| >= 2d/3 - 3")):
+        check = report[key]  # the full check always applies
+        result = (f"{'pass' if check['holds'] else 'fail'} ({check['dimH']} vs {check['threshold']})"
+                  if check["applicable"] else "n/a (odd degree)")
+        lines.append(f"{claim}: {result}")
     return "\n".join(lines)
 
 
@@ -317,7 +307,7 @@ _CASE2_ROW = {
 def build_certify_report(geom: PolarizedCY3, preset: str | None, curve_bounds, mode) -> dict:
     """The certificate of the supplied Case 2 rows alone and no candidates as JSON values,
     with _CASE2 and _CANDIDATES in place of the two lists."""
-    rows = [row for row in case2_rows(geom, curve_bounds) if row.source == "supplied"]
+    rows = supplied_case2_rows(geom, curve_bounds)
     report = {"preset": preset, **certificate_to_jsonable(_certify(geom, mode, rows, ()))}
     return {**report, "case2": _CASE2, "candidates": _CANDIDATES}
 

@@ -41,6 +41,7 @@ from bgcert.certifier import (
     ext1_cap,
     hypothesis_checks,
     min_positive_ch2H,
+    supplied_case2_rows,
 )
 from bgcert.chern import ChernVector, euler_characteristic, ideal_twist_curve_ch, ideal_twist_point_ch
 from bgcert.errors import BetaOutOfRange, NonpositiveCh2H, TooManyCandidates, ZeroRank
@@ -183,11 +184,16 @@ def test_case2_default_bounds_never_positive(geom):
 
 def test_case2_default_bound_is_one_constant_per_degree():
     # chi_min = ceil(d/6 - beta) = ceil(d/6) - beta, so d/6 - beta - chi_min = d/6 - ceil(d/6).
+    # The rows are made in that closed form; each must still be its degree's floor and bound.
     for d in range(1, 400):
+        geom = PolarizedCY3(d, 12 - 2 * d, 0)
         bound = Q(d, 6) - math.ceil(Q(d, 6))
-        rows = case2_check(PolarizedCY3(d, 12 - 2 * d, 0))
-        assert len(rows) == (d + 1) // 2 - 1
+        rows = case2_check(geom)
+        assert [row.beta for row in rows] == list(range(1, (d + 1) // 2))
         assert all((row.ch3_bound, row.ok, row.source) == (bound, True, "default") for row in rows)
+        assert all(row.chi_min == default_chi_min(geom, row.beta) for row in rows)
+        assert all((row.ch3_bound, row.ok) == fraction_case2_row(geom, row.beta, row.chi_min)
+                   for row in rows)
 
 
 def test_case2_rows_checks_the_bounds_at_the_call_and_makes_rows_as_read():
@@ -197,6 +203,20 @@ def test_case2_rows_checks_the_bounds_at_the_call_and_makes_rows_as_read():
     rows = case2_rows(PolarizedCY3.derive(10**12 + 2, 12), [CurveBound(2, 0)])
     assert next(rows) == Case2Row(1, 166666666666, Q(0), True, "default")
     assert next(rows) == Case2Row(2, 0, Q(10**12 - 10, 6), False, "supplied")
+
+
+def test_supplied_case2_rows_are_the_bounds_alone_by_degree():
+    geom = PolarizedCY3.derive(35333, 2)
+    bounds = [CurveBound(9, 4), CurveBound(2, 0), CurveBound(9, 3), CurveBound(9, 5)]
+    assert supplied_case2_rows(geom, bounds) == [
+        Case2Row(2, 0, Q(35333 - 12, 6), False, "supplied"),
+        Case2Row(9, 3, Q(35333 - 72, 6), False, "supplied"),  # the smallest chi_min of beta = 9
+    ]
+    assert supplied_case2_rows(geom, None) == supplied_case2_rows(geom, ()) == []
+    # A bound of exactly 0 holds: d = 12, beta = 1, chi_min = 1.
+    assert supplied_case2_rows(CI223, [CurveBound(1, 1)]) == [Case2Row(1, 1, Q(0), True, "supplied")]
+    with pytest.raises(BetaOutOfRange):
+        supplied_case2_rows(geom, [CurveBound(1, 0), CurveBound(17667, 0)])
 
 
 @st.composite
@@ -387,6 +407,20 @@ def test_enumerate_output_invariants(d):
         assert 2 * c.r * c.c2H >= (c.r - 1) * d
 
 
+def test_candidate_count_refuses_more_degrees_than_the_limit_unsummed():
+    # Each c2H has a candidate, so (d + 1) // 2 > MAX_CANDIDATES decides: no term is summed.
+    class CountedDegree(int):
+        divisions = 0
+
+        def __floordiv__(self, other):
+            CountedDegree.divisions += 1
+            return int(self) // other
+
+    assert candidate_count(CountedDegree(10**12 + 2)) == MAX_CANDIDATES + 1
+    assert CountedDegree.divisions <= 1
+    assert candidate_count(CountedDegree(2 * MAX_CANDIDATES + 1)) == MAX_CANDIDATES + 1
+
+
 def test_candidate_count_on_both_sides_of_the_limit():
     assert MAX_CANDIDATES == 200_000
     # Exact below the limit; the count is monotone in d within each parity only.
@@ -397,6 +431,7 @@ def test_candidate_count_on_both_sides_of_the_limit():
     # Above it the sum stops once past the limit, after at most MAX_CANDIDATES + 1 terms.
     assert MAX_CANDIDATES < candidate_count(35335) <= 200_005
     assert MAX_CANDIDATES < candidate_count(39788) <= 200_005
+    assert candidate_count(50012) > MAX_CANDIDATES  # a partial sum meets the limit exactly
     assert candidate_count(10**12 + 2) == MAX_CANDIDATES + 1
 
 

@@ -33,7 +33,7 @@ from bgcert.cli import (
     render_enumerate,
 )
 from bgcert.chern import ChernVector
-from bgcert.geometry import CONFIG_MAX_BYTES, CurveBound, PolarizedCY3, from_preset
+from bgcert.geometry import CONFIG_MAX_BYTES, PRESETS, CurveBound, PolarizedCY3, from_preset
 from bgcert.rationals import to_jsonable
 
 
@@ -69,6 +69,17 @@ def test_geom_json_round_trip(capsys):
     code, out, _ = run(capsys, "geom", "--preset", "quintic", "--json")
     assert code == 0
     assert json.loads(out) == build_geom_report(from_preset("quintic"), "quintic")
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_geom_json_states_its_hypotheses_through_the_records(capsys, preset):
+    # The same serialization as a certificate's `hypothesis`, an inapplicable check included.
+    code, out, _ = run(capsys, "geom", "--preset", preset, "--json")
+    full, even = certifier.hypothesis_checks(from_preset(preset))
+    report = json.loads(out)
+    assert code == 0
+    assert report["hypothesis_full"] == to_jsonable(full)
+    assert report["hypothesis_even"] == to_jsonable(even)
 
 
 def test_geom_non_integral_custom(capsys):
@@ -373,6 +384,24 @@ def test_certify_json_round_trip(capsys):
     case2 = to_jsonable(certifier.case2_check(from_preset("quintic")))
     candidates = to_jsonable(certifier.enumerate_candidates(from_preset("quintic")))
     assert json.loads(out) == {**report, "case2": case2, "candidates": candidates}
+
+
+def test_certify_report_makes_the_supplied_case2_rows_alone(monkeypatch):
+    # Near the candidate limit there are 17,666 Case 2 degrees; the report holds three.
+    made = []
+
+    class CountedRow(certifier.Case2Row):
+        __slots__ = ()
+
+        def __init__(self, *values):
+            made.append(values[0])
+            super().__init__(*values)
+
+    monkeypatch.setattr(certifier, "Case2Row", CountedRow)
+    bounds = [CurveBound(8833, -2944), CurveBound(2, 0), CurveBound(1, 5888)]
+    report = build_certify_report(PolarizedCY3.derive(35333, 2), None, bounds, "auto")
+    assert made == [1, 2, 8833]
+    assert (report["case2"], report["violated_betas"]) == ("<case2>", [2])
 
 
 def _assert_certify_is_held_certificate(capsys, argv, geom, preset, bounds, mode):

@@ -34,8 +34,13 @@ def test_a_mutant_that_never_ends_is_killed_by_the_timeout(tmp_path, capsys):
     jobs = [("src/loop.py", row, mutated)
             for row, mutated in probe.mutants(_LOOP, probe.line_targets("src/loop.py:4")[1])]
     assert [mutated.strip() for _, _, mutated in jobs] == ["i += 2", "i += 0"]
+    # The timeout comes from an unmodified run, as in main, with a margin for running two
+    # at a time under load, where `i += 2` must still fail before it, not time out.
     start = time.monotonic()
-    assert probe.run_all(str(tmp_path), jobs, ["tests/test_loop.py"], timeout=2) == 0
+    assert probe.outcomes(str(tmp_path), [None], ["tests/test_loop.py"], None) == ["passed"]
+    timeout = 4 * (time.monotonic() - start) + 2
+    start = time.monotonic()
+    assert probe.run_all(str(tmp_path), jobs, ["tests/test_loop.py"], timeout) == 0
     assert time.monotonic() - start < 60
     assert capsys.readouterr().out == (
         "killed (timeout) src/loop.py:4: i += 0\n2 mutants, 2 killed, 0 survived\n")
