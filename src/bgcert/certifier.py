@@ -83,10 +83,16 @@ def case2_rows(
     is always ok: that closed form is how the default rows are made.
     """
     supplied = {row.beta: row for row in supplied_case2_rows(geom, bounds)}
-    top = -(-geom.d // 6)  # ceil(d/6)
-    bound = Fraction(geom.d - 6 * top, 6)
+    top, bound = case2_default(geom.d)
     return (supplied.get(beta) or Case2Row(beta, top - beta, bound, True, "default")
             for beta in range(1, (geom.d + 1) // 2))
+
+
+def case2_default(d: int) -> tuple[int, Fraction]:
+    """(ceil(d/6), d/6 - ceil(d/6)): the default row at beta has chi_min = ceil(d/6) - beta,
+    and every default row has that one bound."""
+    top = -(-d // 6)
+    return top, Fraction(d - 6 * top, 6)
 
 
 def supplied_case2_rows(geom: PolarizedCY3, bounds: Optional[Iterable[CurveBound]]) -> list[Case2Row]:
@@ -165,8 +171,8 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 
 # Enumeration and certification refuse a degree with more candidates than
 # this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json` takes
-# about 0.08 s and 15 MB, and `certify` about 0.14 s and 17 MB in text, 0.13 s and
-# 16 MB in JSON, as both write long lists 256 rows at a time (2-core VM, Python 3.11).
+# about 0.07 s and 15 MB, and `certify` about 0.10 s and 15.5 MB in text, 0.09 s and
+# 15.0 MB in JSON, as both write long lists 256 rows at a time (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 

@@ -11,21 +11,26 @@ For geom, certify and eval, the JSON and human renderings are generated from
 the same report value. The candidates of enumerate and certify are written from
 the same rank iterator, `certifier.candidate_ranks`, a rank's rows as one C join
 of its head over their tails, and never held as a list. So the two views can
-never disagree. certify's Case 2 rows stream likewise, from `certifier.case2_rows`.
+never disagree. certify's Case 2 rows stream likewise, the default ones from the
+closed form of `certifier.case2_default`.
+
+The command line is parsed by `getopt` from one table of options, `_COMMANDS`.
+A usage error is exit 3 with one stderr line that starts with "bgcert: error: ".
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import signal
 import sys
-from itertools import islice
+from itertools import chain, islice
+from types import SimpleNamespace
 
 from .certifier import (
     Verdict,
     _certify,
     candidate_ranks,
-    case2_rows,
+    case2_default,
     certificate_to_jsonable,
     check_ineq_1_2,
     hypothesis_checks,
@@ -67,60 +72,9 @@ _BLOCK_ROWS = 256
 # Argument plumbing.
 
 
-def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", help="named geometry: quintic, ci24 or ci223")
-    parser.add_argument("--d", help="degree H^3 of a custom geometry")
-    parser.add_argument("--c2h", help="c2(X).H of a custom geometry")
-    parser.add_argument("--dimh", help="dim|H| override (must match Riemann-Roch)")
-    parser.add_argument(
-        "--castelnuovo-known",
-        action="store_true",
-        help="assert the curve hypothesis for a custom geometry",
-    )
-    parser.add_argument("--config", help="geometry config file (JSON or key = value lines)")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bgcert",
-        description="Exact-rational certification of a Bogomolov-Gieseker type "
-        "inequality on polarized Calabi-Yau threefolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_geom = sub.add_parser("geom", help="report geometry invariants and hypothesis status")
-    _add_geometry_args(p_geom)
-    p_geom.set_defaults(func=cmd_geom)
-
-    p_enum = sub.add_parser("enumerate", help="list admissible (rank, c2.H) candidates")
-    _add_geometry_args(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_cert = sub.add_parser("certify", help="run the case analysis and emit a certificate")
-    _add_geometry_args(p_cert)
-    p_cert.add_argument(
-        "--curve-bound",
-        action="append",
-        default=[],
-        metavar="BETA:CHI",
-        help="measured curve bound, repeatable, e.g. 2:-1",
-    )
-    p_cert.add_argument("--mode", choices=sorted(_MODES), default="auto")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_eval = sub.add_parser("eval", help="evaluate a scalar on a Chern vector")
-    _add_geometry_args(p_eval)
-    p_eval.add_argument("--op", required=True, choices=["chi", "mu", "nu", "bg", "ineq12"])
-    p_eval.add_argument("--ch", required=True, metavar="CH0,C1,CH2H,CH3")
-    p_eval.add_argument("--t", help="tilt scale, a positive rational (nu only)")
-    p_eval.set_defaults(func=cmd_eval)
-
-    return parser
-
-
-def _resolve_geometry(args) -> PolarizedCY3 | None:
-    """Geometry from --preset, flags, or --config; flags beat the file, as config fields."""
+def _resolve_geometry(args, required: bool = True) -> PolarizedCY3 | None:
+    """Geometry from --preset, flags, or --config; flags beat the file, as config fields.
+    None when none is given and none is required."""
     file_conf = load_geometry_config(args.config) if args.config is not None else {}
     flags = {"d": args.d, "c2h": args.c2h, "dimh": args.dimh,
              "castelnuovo_known": args.castelnuovo_known or None}
@@ -129,16 +83,9 @@ def _resolve_geometry(args) -> PolarizedCY3 | None:
         raise ConfigError("give either --preset or a custom geometry (--d/--c2h/--config), not both")
     if args.preset is not None:
         return from_preset(args.preset)
-    if not merged:
-        return None
-    return geometry_from_config(merged)
-
-
-def _require_geometry(args) -> PolarizedCY3:
-    geom = _resolve_geometry(args)
-    if geom is None:
+    if not merged and required:
         raise ConfigError("no geometry given: use --preset or --d/--c2h (or --config)")
-    return geom
+    return geometry_from_config(merged) if merged else None
 
 
 def _parse_ch(text: str) -> ChernVector:
@@ -212,7 +159,7 @@ def render_geom(report: dict) -> str:
 
 
 def cmd_geom(args) -> int:
-    geom = _require_geometry(args)
+    geom = _resolve_geometry(args)
     _emit(args, build_geom_report(geom, args.preset), render_geom)
     return EXIT_OK
 
@@ -283,7 +230,7 @@ def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    geom = _require_geometry(args)
+    geom = _resolve_geometry(args)
     render_enumerate(geom, args.json)
     return EXIT_OK
 
@@ -294,13 +241,12 @@ def cmd_enumerate(args) -> int:
 
 # Where cmd_certify writes the two long lists into the rendering of a certify report.
 _CASE2, _CANDIDATES = "<case2>", "<candidates>"
-# A Case 2 row in text and in JSON, from its record, ch3 bound and word for ok, with
-# the words and the separator between rows.
+# A Case 2 row in text and in JSON, from its beta, chi_min, source, ch3 bound and word for
+# ok, with the words and the separator between rows.
 _CASE2_ROW = {
-    False: ("\n  beta = {0.beta}: chi_min = {0.chi_min} ({0.source}), ch3 bound = {1} -> {2}",
-            ("VIOLATED", "ok"), ""),
-    True: ('\n    {{\n      "beta": {0.beta},\n      "chi_min": {0.chi_min},\n      "ch3_bound": '
-           '"{1}",\n      "ok": {2},\n      "source": "{0.source}"\n    }}', ("false", "true"), ","),
+    False: ("\n  beta = {0}: chi_min = {1} ({2}), ch3 bound = {3} -> {4}", ("VIOLATED", "ok"), ""),
+    True: ('\n    {{\n      "beta": {0},\n      "chi_min": {1},\n      "ch3_bound": "{3}",'
+           '\n      "ok": {4},\n      "source": "{2}"\n    }}', ("false", "true"), ","),
 }
 
 
@@ -312,13 +258,27 @@ def build_certify_report(geom: PolarizedCY3, preset: str | None, curve_bounds, m
     return {**report, "case2": _CASE2, "candidates": _CANDIDATES}
 
 
-def _write_case2(rows, as_json: bool) -> None:
-    """Write the Case 2 rows of an iterator to stdout, 256 per write call: text lines, or
-    the list of a json.dumps(indent=2) report, "[]" when there is no row (d <= 2)."""
+def _write_case2(d: int, supplied, as_json: bool) -> None:
+    """Write the Case 2 rows of degree d to stdout, 256 per write call: text lines, or the
+    list of a json.dumps(indent=2) report, "[]" when there is no row (d <= 2).
+
+    The supplied rows, by beta, are written from their records. Each run of default rows
+    between them is one `%` template, its one bound formatted once, mapped over beta and
+    chi_min, so no default row is made as a record.
+    """
     template, words, sep = _CASE2_ROW[as_json]
-    write, lead = sys.stdout.write, "[" if as_json else ""
-    while block := [template.format(row, format_rational(row.ch3_bound), words[row.ok])
-                    for row in islice(rows, _BLOCK_ROWS)]:
+    top, bound = case2_default(d)
+    default = template.format("%d", "%d", "default", format_rational(bound), words[True])
+    runs, beta = [], 1
+    for row in [*supplied, None]:
+        end = row.beta if row else (d + 1) // 2
+        runs.append(map(default.__mod__, zip(range(beta, end), range(top - beta, top - end, -1))))
+        if row:
+            runs.append([template.format(row.beta, row.chi_min, row.source,
+                                         format_rational(row.ch3_bound), words[row.ok])])
+            beta = end + 1
+    rows, write, lead = chain.from_iterable(runs), sys.stdout.write, "[" if as_json else ""
+    while block := list(islice(rows, _BLOCK_ROWS)):
         write(lead + sep.join(block))
         lead = sep
     if as_json:
@@ -363,7 +323,7 @@ def render_certificate(report: dict) -> str:
 
 
 def cmd_certify(args) -> int:
-    geom = _require_geometry(args)
+    geom = _resolve_geometry(args)
     bounds = [_parse_curve_bound(text) for text in args.curve_bound]
     ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
     report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])  # and BetaOutOfRange
@@ -376,7 +336,7 @@ def cmd_certify(args) -> int:
     middle, _, tail = rest.partition(quote + _CANDIDATES + quote)
     write = sys.stdout.write
     write(head)
-    _write_case2(case2_rows(geom, bounds), args.json)
+    _write_case2(geom.d, supplied_case2_rows(geom, bounds), args.json)
     write(middle)
     if args.json:
         _write_rows(geom.d, ranks, 4)
@@ -432,11 +392,7 @@ def render_eval(report: dict) -> str:
 
 def cmd_eval(args) -> int:
     ch = _parse_ch(args.ch)
-    if args.op == "ineq12":
-        _resolve_geometry(args)  # optional for this op, but checked when given
-        geom = None
-    else:
-        geom = _require_geometry(args)
+    geom = _resolve_geometry(args, args.op != "ineq12")  # ineq12 needs none, but checks one given
     t = None
     if args.t is not None:  # checked whenever given, used by nu alone
         try:
@@ -453,29 +409,89 @@ def cmd_eval(args) -> int:
 # Entry points.
 
 
-# Options whose value may start with "-". argparse takes "-1,1,0,0" or "-1/2"
-# for an option name, since it is not a plain negative number, so such a value
-# is joined to its option as "--ch=-1,1,0,0" before parsing.
-_SIGNED_VALUE_OPTIONS = ("--ch", "--t")
+# Every option of each command, the one place they are declared: (name, kind, metavar,
+# help). A kind is "flag", "value" (the last one given counts), "values" (each one given,
+# in order) or a tuple of choices, the first the default. The parser and --help read these.
+_GEOMETRY_OPTIONS = (
+    ("preset", "value", "NAME", "named geometry: quintic, ci24 or ci223"),
+    ("d", "value", "N", "degree H^3 of a custom geometry"),
+    ("c2h", "value", "N", "c2(X).H of a custom geometry"),
+    ("dimh", "value", "N", "dim|H| override (must match Riemann-Roch)"),
+    ("castelnuovo-known", "flag", "", "assert the curve hypothesis for a custom geometry"),
+    ("config", "value", "PATH", "geometry config file (JSON or key = value lines)"),
+    ("json", "flag", "", "emit JSON instead of text"),
+)
+# Each command: its function, its help, its options past the geometry's, the ones it requires.
+_COMMANDS = {
+    "geom": (cmd_geom, "report geometry invariants and hypothesis status", (), ()),
+    "enumerate": (cmd_enumerate, "list admissible (rank, c2.H) candidates", (), ()),
+    "certify": (cmd_certify, "run the case analysis and emit a certificate", (
+        ("curve-bound", "values", "BETA:CHI", "measured curve bound, repeatable, e.g. 2:-1"),
+        ("mode", tuple(_MODES), "", "hypothesis mode, default auto"),
+    ), ()),
+    "eval": (cmd_eval, "evaluate a scalar on a Chern vector", (
+        ("op", ("chi", "mu", "nu", "bg", "ineq12"), "", "the scalar (required)"),
+        ("ch", "value", "CH0,C1,CH2H,CH3", "the Chern vector (required)"),
+        ("t", "value", "T", "tilt scale, a positive rational (nu only)"),
+    ), ("op", "ch")),
+}
 
 
-def _join_signed_values(argv: list[str]) -> list[str]:
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
+def _help(command: str | None) -> str:
+    """The --help text of a command, or of bgcert when command is None."""
+    if command is None:
+        return "usage: bgcert COMMAND [options], where COMMAND is one of\n" + "\n".join(
+            f"  {name:<11}{entry[1]}" for name, entry in _COMMANDS.items())
+    rows = [(f"--{name} {'{' + ','.join(kind) + '}' if isinstance(kind, tuple) else metavar}", text)
+            for name, kind, metavar, text in _GEOMETRY_OPTIONS + _COMMANDS[command][2]]
+    rows.append(("-h, --help", "show this help"))
+    head = f"usage: bgcert {command} [options]\n\n{_COMMANDS[command][1]}\n\noptions:\n"
+    return head + "\n".join(f"  {usage.rstrip():<26} {text}" for usage, text in rows)
+
+
+def build_parser(argv: list[str]) -> SimpleNamespace | str:
+    """The command line by _COMMANDS: the command's function and its options as a namespace,
+    or the help text asked for. A usage error raises getopt.GetoptError with one short line.
+    (perfbench/ times the parse by this name.)"""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        return _help(command if command in _COMMANDS else None)
+    if command not in _COMMANDS:
+        raise getopt.GetoptError(f"expected a command, got {_shown(command) if argv else 'none'}")
+    func, _, options, required = _COMMANDS[command]
+    args, kinds, longopts = SimpleNamespace(command=command, func=func), {}, []
+    for name, kind, _, _ in _GEOMETRY_OPTIONS + options:
+        kinds[name] = kind
+        longopts.append(name if kind == "flag" else name + "=")
+        default = kind[0] if isinstance(kind, tuple) else {"flag": False, "values": []}.get(kind)
+        setattr(args, name.replace("-", "_"), default)
+    try:  # the word after a value option is its value, whatever it starts with
+        opts, stray = getopt.gnu_getopt(argv[1:], "", longopts)
+    except getopt.GetoptError as exc:  # "option -NAME REASON" or "option --NAME REASON"
+        name = ("--" if exc.msg.startswith("option --" + exc.opt) else "-") + exc.opt
+        raise getopt.GetoptError(f"option {_shown(name)} {exc.msg[len(name) + 8:]}") from None
+    if stray or "--" in argv:  # bgcert takes no arguments, so nothing may follow a "--"
+        raise getopt.GetoptError(f"unexpected argument {_shown([*stray, '--'][0])}")
+    for opt, value in opts:
+        kind, attr = kinds[opt[2:]], opt[2:].replace("-", "_")
+        if isinstance(kind, tuple) and value not in kind:
+            raise getopt.GetoptError(f"{opt} expects one of {', '.join(kind)}, got {_shown(value)}")
+        setattr(args, attr, True if kind == "flag" else [*getattr(args, attr), value]
+                if kind == "values" else value)
+    if missing := [f"--{name}" for name in required if f"--{name}" not in dict(opts)]:
+        raise getopt.GetoptError(f"{command} requires {' and '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is taken by HYPOTHESIS_FAIL.
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+        args = build_parser(sys.argv[1:] if argv is None else list(argv))
+    except getopt.GetoptError as exc:
+        print(f"bgcert: error: {exc.msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    if isinstance(args, str):
+        print(args)
+        return EXIT_OK
     try:
         return args.func(args)
     except (BgcertError, ValueError, OSError) as exc:

@@ -6,6 +6,7 @@ scans) and shares no formula with the package under test.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 from bgcert.certifier import Case1Trace, certificate_to_jsonable, certify_theorem
 from bgcert.chern import ChernVector
+from bgcert.cli import _MODES, cmd_certify, cmd_enumerate, cmd_eval, cmd_geom
 from bgcert.errors import (
     BgcertError,
     NegativeLinearSystem,
@@ -392,3 +394,74 @@ def held_certify_outputs(geom: PolarizedCY3, preset, curve_bounds, mode) -> tupl
     cert = certify_theorem(geom, curve_bounds, mode)
     report = {"preset": preset, **certificate_to_jsonable(cert)}
     return held_render_certificate(report) + "\n", json.dumps(report, indent=2) + "\n"
+
+
+# --- the command line as first parsed, by argparse ---------------------------------
+# The reference for the CLI's own parser.
+
+def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--preset", help="named geometry: quintic, ci24 or ci223")
+    parser.add_argument("--d", help="degree H^3 of a custom geometry")
+    parser.add_argument("--c2h", help="c2(X).H of a custom geometry")
+    parser.add_argument("--dimh", help="dim|H| override (must match Riemann-Roch)")
+    parser.add_argument(
+        "--castelnuovo-known",
+        action="store_true",
+        help="assert the curve hypothesis for a custom geometry",
+    )
+    parser.add_argument("--config", help="geometry config file (JSON or key = value lines)")
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bgcert",
+        description="Exact-rational certification of a Bogomolov-Gieseker type "
+        "inequality on polarized Calabi-Yau threefolds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_geom = sub.add_parser("geom", help="report geometry invariants and hypothesis status")
+    _add_geometry_args(p_geom)
+    p_geom.set_defaults(func=cmd_geom)
+
+    p_enum = sub.add_parser("enumerate", help="list admissible (rank, c2.H) candidates")
+    _add_geometry_args(p_enum)
+    p_enum.set_defaults(func=cmd_enumerate)
+
+    p_cert = sub.add_parser("certify", help="run the case analysis and emit a certificate")
+    _add_geometry_args(p_cert)
+    p_cert.add_argument(
+        "--curve-bound",
+        action="append",
+        default=[],
+        metavar="BETA:CHI",
+        help="measured curve bound, repeatable, e.g. 2:-1",
+    )
+    p_cert.add_argument("--mode", choices=sorted(_MODES), default="auto")
+    p_cert.set_defaults(func=cmd_certify)
+
+    p_eval = sub.add_parser("eval", help="evaluate a scalar on a Chern vector")
+    _add_geometry_args(p_eval)
+    p_eval.add_argument("--op", required=True, choices=["chi", "mu", "nu", "bg", "ineq12"])
+    p_eval.add_argument("--ch", required=True, metavar="CH0,C1,CH2H,CH3")
+    p_eval.add_argument("--t", help="tilt scale, a positive rational (nu only)")
+    p_eval.set_defaults(func=cmd_eval)
+
+    return parser
+
+
+# Options whose value may start with "-". argparse takes "-1,1,0,0" or "-1/2"
+# for an option name, since it is not a plain negative number, so such a value
+# is joined to its option as "--ch=-1,1,0,0" before parsing.
+_SIGNED_VALUE_OPTIONS = ("--ch", "--t")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out

@@ -1,7 +1,9 @@
 import contextlib
+import getopt
 import hashlib
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -21,6 +23,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+import _oracles
 from _oracles import held_certify_outputs, naive_candidates, row_by_row_render_enumerate
 import bgcert
 from bgcert import certifier
@@ -29,6 +32,7 @@ from bgcert.cli import (
     build_certify_report,
     build_eval_report,
     build_geom_report,
+    build_parser,
     main,
     render_enumerate,
 )
@@ -439,6 +443,20 @@ def test_certify_streams_the_held_certificate(capsys, d, c2h, bounds, known):
                                         None, [CurveBound(b, c) for b, c in bounds], "auto")
 
 
+@pytest.mark.parametrize("d", [*range(1, 25), 2000, 2001])
+def test_certify_writes_the_default_case2_rows_of_the_floor(capsys, d):
+    # A default row takes chi_min = ceil(d/6 - beta), and its bound is d/6 - beta - chi_min:
+    # computed here in fractions, apart from the program's closed form and its template.
+    code, out, _ = run(capsys, "certify", "--d", str(d), "--c2h", str(12 - 2 * d), "--json")
+    rows = []
+    for beta in range(1, (d + 1) // 2):
+        chi = math.ceil(Fraction(d, 6) - beta)
+        bound = Fraction(d, 6) - beta - chi
+        shown = str(bound.numerator) + (f"/{bound.denominator}" if bound.denominator != 1 else "")
+        rows.append({"beta": beta, "chi_min": chi, "ch3_bound": shown, "ok": True, "source": "default"})
+    assert code in (0, 1, 2) and json.loads(out)["case2"] == rows
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
 def test_certify_past_the_limit_by_one_degree_is_exit_3_before_any_output(capsys, flags):
     # 35,335 is the smallest degree with more than MAX_CANDIDATES candidates.
@@ -557,7 +575,7 @@ def test_eval_nu_t_must_be_positive(capsys, t):
 
 
 def test_eval_ch_takes_a_negative_value_after_a_space(capsys):
-    # "-1,1,0,0" is not a plain negative number, so argparse alone reads it as an option name.
+    # The word after a value option is its value, whatever it starts with.
     spaced = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch", "-1,1,0,0")
     joined = run(capsys, "eval", "--op", "bg", "--preset", "quintic", "--ch=-1,1,0,0")
     assert spaced == joined == (0, "bg discriminant = 5 (bg_ok: pass)\n", "")
@@ -647,6 +665,31 @@ for argv in sys.argv[1:]:
         code = bgcert.cli.main(argv.split())
     print(code, "json" in sys.modules, out.getvalue().splitlines()[-1])
 """
+
+
+_PARSER_MODULES_PROBE = """
+import contextlib, io, sys
+import bgcert.cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = bgcert.cli.main(argv.split())
+    print(code, "argparse" in sys.modules, "locale" in sys.modules)
+"""
+
+
+def test_a_process_loads_neither_argparse_nor_locale():
+    # getopt parses; it loads locale only to translate its own error message. Without
+    # `site` nothing imports either module first.
+    commands = ["geom --preset quintic", "enumerate --preset quintic --json",
+                "certify --d 5 --c2h 50 --curve-bound 1:0", "eval --op chi --preset quintic --ch 1,1,0,0",
+                "certify --help", "certify --preset quintic --mode bogus", "geom --bogus"]
+    proc = subprocess.run([sys.executable, "-S", "-c", _PARSER_MODULES_PROBE, *commands],
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:5] == ["0 False False", "0 False False", "1 False False", "0 False False",
+                         "0 False False"]
+    assert [line.split()[:2] for line in lines[5:]] == [["3", "False"], ["3", "False"]]
 
 
 def test_json_is_imported_only_to_read_or_write_json(tmp_path):
@@ -822,7 +865,7 @@ def test_enumerate_into_closed_pipe_ends_quietly():
     assert code == -signal.SIGPIPE
 
 
-# --- argparse interplay -------------------------------------------------------------------
+# --- the command line -------------------------------------------------------------------
 
 def test_internal_fault_is_exit_4_not_a_verdict(capsys, monkeypatch):
     # A broken cross-check inside certify_theorem must not read as exit 1 (CONDITIONAL).
@@ -846,14 +889,26 @@ def test_unknown_subcommand_maps_to_config_exit(capsys):
 
 @pytest.mark.parametrize("first", ["-1", "10", "-1/2"])
 def test_a_number_in_place_of_the_subcommand_is_exit_3(capsys, first):
-    # Nothing precedes it, so it is not joined to an option; argparse refuses it.
+    # Only a command, or a help option, may come first.
     code, out, err = run(capsys, first, "geom", "--preset", "quintic")
     assert (code, out) == (3, "")
     assert "bgcert: error: " in err
 
 
+# Each command's options, by name; --help names every one of them.
+_OPTIONS = {"geom": [], "enumerate": [], "certify": ["curve-bound", "mode"], "eval": ["op", "ch", "t"]}
+_GEOMETRY_OPTION_NAMES = ["preset", "d", "c2h", "dimh", "castelnuovo-known", "config", "json"]
+
+
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "") and out.startswith("usage: bgcert ")
+        assert all(f"  {command} " in out for command in _OPTIONS)
+        for command, names in _OPTIONS.items():
+            code, out, err = run(capsys, command, flag)
+            assert (code, err) == (0, "") and out.startswith(f"usage: bgcert {command} ")
+            assert all(f"  --{name} " in out for name in _GEOMETRY_OPTION_NAMES + names), command
 
 
 def test_version_like_usage_error(capsys):
@@ -947,6 +1002,63 @@ def test_cli_fuzz_ends_in_a_verdict_or_exit_3(argv, config):
         json.loads(out.getvalue())
 
 
+_FLAG_NAMES = {"castelnuovo-known", "json"}
+_WORD = st.sampled_from(["", "-1", "-1/2", "-x", "auto", "bogus", "quintic", "full", "chi", "5",
+                         "-1,1,0,0", "1,1,5/2,5/6", "2:-1"])
+
+
+@st.composite
+def _option_words(draw, names):
+    """An option of `names`, written in full or as a prefix, unique or ambiguous ("c", "c2"),
+    alone or with a value after "=" or as the next word; mostly as its kind asks."""
+    name = draw(st.sampled_from(names))
+    spelled = draw(_weighted(st.just(name), st.sampled_from([name[:k] for k in range(1, len(name) + 1)])))
+    if draw(_weighted(st.just(name in _FLAG_NAMES), st.booleans())):
+        return ["--" + spelled]
+    word = draw(_WORD)
+    return [f"--{spelled}={word}"] if draw(st.booleans()) else ["--" + spelled, word]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command or a junk word, then options, with or without values, repeats, stray words
+    and "--"; no help option. eval is given --op and --ch first more often than not."""
+    first = draw(_weighted(st.sampled_from(sorted(_OPTIONS)),
+                           st.sampled_from(["frobnicate", "-1", "--json", ""])))
+    words = [first] + ["--op", "nu", "--ch", "1,1,5/2,5/6"] * (first == "eval" and draw(st.booleans()))
+    every = _GEOMETRY_OPTION_NAMES + [name for names in _OPTIONS.values() for name in names]
+    tokens = _weighted(_option_words(_GEOMETRY_OPTION_NAMES + _OPTIONS.get(first, [])),
+                       _option_words(every) | st.sampled_from([["--"], ["stray"], ["-x"], ["-1"], [""]]))
+    return words + [word for option in draw(st.lists(tokens, max_size=6)) for word in option]
+
+
+def _parsed(parse, argv, refused):
+    """vars() of parse(argv), or None where it raises `refused`."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except refused:
+        return None
+
+
+@settings(deadline=None, max_examples=500)
+@given(_command_lines())
+def test_the_parser_accepts_what_argparse_accepted_alike(argv):
+    # argparse refused a value that starts with "-" (unless it joined one to --ch or --t);
+    # getopt takes the word after a value option, whatever it is. So that is the one thing
+    # only the new parser accepts, and the two agree on every line argparse accepts.
+    ours = _parsed(build_parser, argv, getopt.GetoptError)
+    theirs = _parsed(lambda words: _oracles.build_parser().parse_args(
+        _oracles._join_signed_values(words)), argv, SystemExit)
+    if theirs is not None:
+        assert ours == theirs, argv
+    if ours is None:
+        assert theirs is None, argv
+    elif theirs is None:
+        values = [v for value in ours.values() for v in (value if isinstance(value, list) else [value])]
+        assert any(isinstance(v, str) and v.startswith("-") for v in values), (argv, ours)
+
+
 # One typed value 5,000 characters long, made by repeating a filler. No filler makes an
 # integer of 13 digits or fewer; "7" makes one over int()'s digit limit.
 _LONG = st.sampled_from(["x", "7", "7/", "1,", "1:", "-", "é", "٥", "\n", "'", '"',
@@ -991,12 +1103,24 @@ def _one_long_value(draw):
     return [command], "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
+@st.composite
+def _one_long_usage_error(draw):
+    """(argv, None) with a 5,000-character option name or --mode or --op value."""
+    value, slot = draw(_LONG), draw(st.sampled_from(["option", "--mode", "--op"]))
+    if slot == "option":
+        return [draw(st.sampled_from(sorted(_OPTIONS))), "--" + value], None
+    if slot == "--mode":
+        return ["certify", "--preset", "quintic", "--mode", value], None
+    return ["eval", "--op", value, "--preset", "quintic", "--ch", "1,1,0,0"], None
+
+
 @settings(deadline=None)
-@given(_one_long_value())
+@given(_one_long_value().map(lambda case: (*case, "error: "))
+       | _one_long_usage_error().map(lambda case: (*case, "bgcert: error: ")))
 def test_a_long_typed_value_gives_one_short_error_line(case):
     # Every typed value is quoted by one rule, so the error line stays short however long
-    # the value; argparse's own usage errors are not drawn here.
-    argv, config = case
+    # the value; so is every word a usage error echoes.
+    argv, config, prefix = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "geom.cfg")
@@ -1011,7 +1135,7 @@ def test_a_long_typed_value_gives_one_short_error_line(case):
     if code != 3:  # a filler that a config file reads as a comment or blank leaves a verdict
         assert line == ""
         return
-    assert out.getvalue() == "" and line.startswith("error: "), (argv, line)
+    assert out.getvalue() == "" and line.startswith(prefix), (argv, line)
     assert line.endswith("\n") and line.count("\n") == 1 and len(line.encode()) < 300, line
 
 
