@@ -421,15 +421,16 @@ _GEOMETRY_OPTIONS = (
     ("config", "value", "PATH", "geometry config file (JSON or key = value lines)"),
     ("json", "flag", "", "emit JSON instead of text"),
 )
-# Each command: its function, its help, its options past the geometry's, the ones it requires.
+# Each command: its help, its options past the geometry's, the ones it requires. It runs as
+# cmd_<command>, looked up at each parse, so a wrapper put on that name (perfbench/) runs.
 _COMMANDS = {
-    "geom": (cmd_geom, "report geometry invariants and hypothesis status", (), ()),
-    "enumerate": (cmd_enumerate, "list admissible (rank, c2.H) candidates", (), ()),
-    "certify": (cmd_certify, "run the case analysis and emit a certificate", (
+    "geom": ("report geometry invariants and hypothesis status", (), ()),
+    "enumerate": ("list admissible (rank, c2.H) candidates", (), ()),
+    "certify": ("run the case analysis and emit a certificate", (
         ("curve-bound", "values", "BETA:CHI", "measured curve bound, repeatable, e.g. 2:-1"),
         ("mode", tuple(_MODES), "", "hypothesis mode, default auto"),
     ), ()),
-    "eval": (cmd_eval, "evaluate a scalar on a Chern vector", (
+    "eval": ("evaluate a scalar on a Chern vector", (
         ("op", ("chi", "mu", "nu", "bg", "ineq12"), "", "the scalar (required)"),
         ("ch", "value", "CH0,C1,CH2H,CH3", "the Chern vector (required)"),
         ("t", "value", "T", "tilt scale, a positive rational (nu only)"),
@@ -441,11 +442,11 @@ def _help(command: str | None) -> str:
     """The --help text of a command, or of bgcert when command is None."""
     if command is None:
         return "usage: bgcert COMMAND [options], where COMMAND is one of\n" + "\n".join(
-            f"  {name:<11}{entry[1]}" for name, entry in _COMMANDS.items())
+            f"  {name:<11}{entry[0]}" for name, entry in _COMMANDS.items())
     rows = [(f"--{name} {'{' + ','.join(kind) + '}' if isinstance(kind, tuple) else metavar}", text)
-            for name, kind, metavar, text in _GEOMETRY_OPTIONS + _COMMANDS[command][2]]
+            for name, kind, metavar, text in _GEOMETRY_OPTIONS + _COMMANDS[command][1]]
     rows.append(("-h, --help", "show this help"))
-    head = f"usage: bgcert {command} [options]\n\n{_COMMANDS[command][1]}\n\noptions:\n"
+    head = f"usage: bgcert {command} [options]\n\n{_COMMANDS[command][0]}\n\noptions:\n"
     return head + "\n".join(f"  {usage.rstrip():<26} {text}" for usage, text in rows)
 
 
@@ -458,8 +459,8 @@ def build_parser(argv: list[str]) -> SimpleNamespace | str:
         return _help(command if command in _COMMANDS else None)
     if command not in _COMMANDS:
         raise getopt.GetoptError(f"expected a command, got {_shown(command) if argv else 'none'}")
-    func, _, options, required = _COMMANDS[command]
-    args, kinds, longopts = SimpleNamespace(command=command, func=func), {}, []
+    _, options, required = _COMMANDS[command]
+    args, kinds, longopts = SimpleNamespace(command=command, func=globals()["cmd_" + command]), {}, []
     for name, kind, _, _ in _GEOMETRY_OPTIONS + options:
         kinds[name] = kind
         longopts.append(name if kind == "flag" else name + "=")

@@ -883,6 +883,14 @@ def test_internal_fault_is_exit_4_not_a_verdict(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["geom", "enumerate", "certify"])
+def test_main_runs_the_command_by_its_name_at_each_parse(capsys, monkeypatch, command):
+    # A wrapper put on cli.cmd_<command> after import, as perfbench's tracer does, is what runs.
+    seen = []
+    monkeypatch.setattr(bgcert.cli, f"cmd_{command}", lambda args: seen.append(args.command) or 7)
+    assert run(capsys, command, "--preset", "quintic") == (7, "", "") and seen == [command]
+
+
 def test_unknown_subcommand_maps_to_config_exit(capsys):
     assert main(["frobnicate"]) == 3
 
