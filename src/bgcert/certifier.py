@@ -70,24 +70,6 @@ class Case2Row(Record):
     __slots__ = ("beta", "chi_min", "ch3_bound", "ok", "source")  # source: "default" or "supplied"
 
 
-def case2_rows(
-    geom: PolarizedCY3,
-    bounds: Optional[Iterable[CurveBound]] = None,
-) -> Iterator[Case2Row]:
-    """One row per curve degree 1 <= beta < d/2, by beta: ch3 <= d/6 - beta - chi_min.
-    The bounds are checked at the call; the rows are made as they are read.
-
-    Degrees without a supplied bound take the weakest admissible floor
-    ceil(d/6 - beta) = ceil(d/6) - beta. Their bound d/6 - beta - chi_min is then
-    the one constant d/6 - ceil(d/6), 0 or -k/6 for k = 1 to 5, so a default row
-    is always ok: that closed form is how the default rows are made.
-    """
-    supplied = {row.beta: row for row in supplied_case2_rows(geom, bounds)}
-    top, bound = case2_default(geom.d)
-    return (supplied.get(beta) or Case2Row(beta, top - beta, bound, True, "default")
-            for beta in range(1, (geom.d + 1) // 2))
-
-
 def case2_default(d: int) -> tuple[int, Fraction]:
     """(ceil(d/6), d/6 - ceil(d/6)): the default row at beta has chi_min = ceil(d/6) - beta,
     and every default row has that one bound."""
@@ -112,9 +94,18 @@ def supplied_case2_rows(geom: PolarizedCY3, bounds: Optional[Iterable[CurveBound
     return rows
 
 
-def case2_check(geom: PolarizedCY3, bounds=None) -> list[Case2Row]:
-    """The rows of case2_rows as a list."""
-    return list(case2_rows(geom, bounds))
+def case2_check(geom: PolarizedCY3, bounds: Optional[Iterable[CurveBound]] = None) -> list[Case2Row]:
+    """One row per curve degree 1 <= beta < d/2, by beta: ch3 <= d/6 - beta - chi_min.
+
+    Degrees without a supplied bound take the weakest admissible floor
+    ceil(d/6 - beta) = ceil(d/6) - beta. Their bound d/6 - beta - chi_min is then
+    the one constant d/6 - ceil(d/6), 0 or -k/6 for k = 1 to 5, so a default row
+    is always ok: that closed form is how the default rows are made.
+    """
+    supplied = {row.beta: row for row in supplied_case2_rows(geom, bounds)}
+    top, bound = case2_default(geom.d)
+    return [supplied.get(beta) or Case2Row(beta, top - beta, bound, True, "default")
+            for beta in range(1, (geom.d + 1) // 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +162,8 @@ def _case3_trace(geom: PolarizedCY3) -> Case3Trace:
 
 # Enumeration and certification refuse a degree with more candidates than
 # this. Near it (d = 35,333: 199,985 candidates) `bgcert enumerate --json` takes
-# about 0.07 s and 15 MB, and `certify` about 0.10 s and 15.5 MB in text, 0.09 s and
-# 15.0 MB in JSON, as both write long lists 256 rows at a time (2-core VM, Python 3.11).
+# about 0.08 s and 14.6 MB, and `certify` about 0.08 s and 14.4 MB in text, 0.09 s and
+# 14.9 MB in JSON, as both write long lists 256 rows at a time (2-core VM, Python 3.11).
 MAX_CANDIDATES = 200_000
 
 
@@ -340,7 +331,7 @@ def _certify(geom: PolarizedCY3, mode, rows, candidates) -> Certificate:
         if not numerics_ok:
             # Unreachable: the worst Case 3 bound being <= 0 is equivalent to the mode
             # hypothesis. Case 2 needs no term: a supplied row that fails is a violation,
-            # and a default row's bound is d/6 - ceil(d/6) <= 0 (case2_rows).
+            # and a default row's bound is d/6 - ceil(d/6) <= 0 (case2_check).
             raise RuntimeError("internal: numeric case checks failed with hypotheses satisfied")
         # Passing numerics are strict: Case 1 is tight only at l = 0, and every Case 2
         # and Case 3 bound is <= 0 (Case 3 is vacuous only at d <= 2, with a bound < 0).

@@ -8,10 +8,11 @@ verdict). A reader that closes the output early ends the process by SIGPIPE,
 as with other Unix filters.
 
 For geom, certify and eval, the JSON and human renderings are generated from
-the same report value. The candidates of enumerate and certify are written from
-the same rank iterator, `certifier.candidate_ranks`, a rank's rows as one C join
-of its head over their tails, and never held as a list. So the two views can
-never disagree. certify's Case 2 rows stream likewise, the default ones from the
+the same report value. All four candidate lists (enumerate's text and JSON,
+certify's " (r,c2H)" pairs and JSON) are written by one writer, `_write_rows`,
+from the rank iterator `certifier.candidate_ranks`, a rank's rows as one C join
+of its head over their tails, and never held as a list. So the views can never
+disagree. certify's Case 2 rows stream likewise, the default ones from the
 closed form of `certifier.case2_default`.
 
 The command line is parsed by `getopt` from one table of options, `_COMMANDS`.
@@ -168,9 +169,10 @@ def cmd_geom(args) -> int:
 # enumerate
 
 
-def _write_rows(d: int, ranks, indent: int | None) -> int:
-    """Write the candidates of `ranks` to stdout as text rows, or as "[" and the rows of
-    a json.dumps list at `indent`, 256 rows per write call; return the number of rows.
+def _write_rows(d: int, ranks, form: str | int) -> int:
+    """Write the candidates of `ranks` to stdout in the format `form`, 256 rows per write
+    call; return the number of rows. `form` is "text" (enumerate's lines), "pairs"
+    (certify's " (r,c2H)" list) or an indent, for "[" and the rows of a json.dumps list.
 
     A row is its rank's head and its c2H's tail, `%`-formatted from integers. Ranks 3 and
     up start at rank 3's floor ceil(d/3) or later, so the tails from there on are made
@@ -183,15 +185,18 @@ def _write_rows(d: int, ranks, indent: int | None) -> int:
     stop = (d + 1) // 2
     # ch2H = (d - 2 c2H)/2: an odd numerator over 2 for odd d, else the whole d/2 - c2H.
     nums, half = (range(d, 0, -2), "/2") if d % 2 else (range(d // 2, 0, -1), "")
-    if indent is None:
-        pre, tail = "(", ", %d)  ch2H = %d" + half + "\n"
+    if form == "text":
+        lead, pre, tail = "", "(", ", %d)  ch2H = %d" + half + "\n"
+    elif form == "pairs":  # %.0s drops the ch2H numerator
+        lead, pre, tail = "", " (", ",%d)%.0s"
     else:  # a row ends in the comma before the next one; the last row drops it
-        pad = "\n" + " " * indent
-        pre, tail = f'{pad}{{{pad}  "r": ', f',{pad}  "c2H": %d,{pad}  "ch2H": "%d{half}"{pad}}},'
+        pad = "\n" + " " * form
+        lead, pre = "[", f'{pad}{{{pad}  "r": '
+        tail = f',{pad}  "c2H": %d,{pad}  "ch2H": "%d{half}"{pad}}},'
     keep = min(-(-d // 3), stop - 1)
     tails = list(map(tail.__mod__, zip(range(keep, stop), nums[keep:])))
     write = sys.stdout.write
-    pieces, n = ["["] if indent is not None else [], 0  # the block not yet written; the rows so far
+    pieces, n = [lead], 0  # the block not yet written; the rows so far
     for r, lo in ranks:
         if lo == stop - 1:
             break
@@ -225,7 +230,7 @@ def _write_rows(d: int, ranks, indent: int | None) -> int:
 
 def render_enumerate(geom: PolarizedCY3, as_json: bool) -> None:
     """Write the candidates to stdout as one text or json.dumps(indent=2) rendering."""
-    n = _write_rows(geom.d, candidate_ranks(geom.d), 2 if as_json else None)
+    n = _write_rows(geom.d, candidate_ranks(geom.d), 2 if as_json else "text")
     sys.stdout.write("\n]\n" if as_json else f"{n} candidate(s)\n")
 
 
@@ -250,10 +255,9 @@ _CASE2_ROW = {
 }
 
 
-def build_certify_report(geom: PolarizedCY3, preset: str | None, curve_bounds, mode) -> dict:
-    """The certificate of the supplied Case 2 rows alone and no candidates as JSON values,
+def build_certify_report(geom: PolarizedCY3, preset: str | None, rows, mode) -> dict:
+    """The certificate of these supplied Case 2 rows and no candidates as JSON values,
     with _CASE2 and _CANDIDATES in place of the two lists."""
-    rows = supplied_case2_rows(geom, curve_bounds)
     report = {"preset": preset, **certificate_to_jsonable(_certify(geom, mode, rows, ()))}
     return {**report, "case2": _CASE2, "candidates": _CANDIDATES}
 
@@ -326,7 +330,8 @@ def cmd_certify(args) -> int:
     geom = _resolve_geometry(args)
     bounds = [_parse_curve_bound(text) for text in args.curve_bound]
     ranks = candidate_ranks(geom.d)  # TooManyCandidates here, before any byte is written
-    report = build_certify_report(geom, args.preset, bounds, _MODES[args.mode])  # and BetaOutOfRange
+    rows = supplied_case2_rows(geom, bounds)  # and BetaOutOfRange
+    report = build_certify_report(geom, args.preset, rows, _MODES[args.mode])
     if args.json:
         import json  # here only: a text command never loads it
         rendering, quote = json.dumps(report, indent=2), '"'
@@ -336,16 +341,10 @@ def cmd_certify(args) -> int:
     middle, _, tail = rest.partition(quote + _CANDIDATES + quote)
     write = sys.stdout.write
     write(head)
-    _write_case2(geom.d, supplied_case2_rows(geom, bounds), args.json)
+    _write_case2(geom.d, rows, args.json)
     write(middle)
-    if args.json:
-        _write_rows(geom.d, ranks, 4)
-        write("\n  ]")
-    else:  # " (r,c2H)" per candidate, one join per rank
-        pairs = list(map(",%d)".__mod__, range((geom.d + 1) // 2)))
-        for r, lo in ranks:
-            write(f" ({r}" + f" ({r}".join(pairs[lo:]))
-    write(tail + "\n")
+    _write_rows(geom.d, ranks, 4 if args.json else "pairs")
+    write(("\n  ]" if args.json else "") + tail + "\n")
     return _VERDICT_EXIT[report["verdict"]]
 
 

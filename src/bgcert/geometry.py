@@ -197,22 +197,25 @@ def load_geometry_config(path) -> dict:
     Only a regular file of at most CONFIG_MAX_BYTES is read. A pipe or device
     is refused: what a read of it returns depends on its writer and on timing.
     """
-    # O_NONBLOCK: opening a FIFO with no writer returns at once instead of waiting.
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    shown = _shown(os.fspath(path))  # quoted and cut like any typed value: one short line
+    try:  # O_NONBLOCK: opening a FIFO with no writer returns at once instead of waiting.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as error:
+        raise ConfigError(f"config {shown}: {error.strerror}") from None
     try:
         if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise ConfigError(f"config {path}: not a regular file")
+            raise ConfigError(f"config {shown}: not a regular file")
         with open(fd, "rb", closefd=False) as file:
             raw = file.read(CONFIG_MAX_BYTES + 1)
     finally:
         os.close(fd)
     if len(raw) > CONFIG_MAX_BYTES:
-        raise ConfigError(f"config {path}: longer than the cap of {CONFIG_MAX_BYTES} bytes")
+        raise ConfigError(f"config {shown}: longer than the cap of {CONFIG_MAX_BYTES} bytes")
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as error:
         at = error.start + len(raw) - len(error.object)  # the codec counts from after a BOM
-        raise ConfigError(f"config {path}: not UTF-8: byte 0x{raw[at]:02x} at position {at}: "
+        raise ConfigError(f"config {shown}: not UTF-8: byte 0x{raw[at]:02x} at position {at}: "
                           f"{error.reason}") from None
     import json  # here only: a config from flags or a preset never loads it
     try:
@@ -220,13 +223,13 @@ def load_geometry_config(path) -> dict:
     except json.JSONDecodeError:
         pass  # not JSON: read the line format below
     except RecursionError:
-        raise ConfigError(f"config {path}: JSON nested too deeply") from None
+        raise ConfigError(f"config {shown}: JSON nested too deeply") from None
     except ValueError:  # the one other ValueError of json.loads: int's digit limit
-        raise ConfigError(f"config {path}: an integer has more than "
+        raise ConfigError(f"config {shown}: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits") from None
     else:
         if not isinstance(data, dict):
-            raise ConfigError(f"config {path}: expected a JSON object")
+            raise ConfigError(f"config {shown}: expected a JSON object")
         return data
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -235,6 +238,6 @@ def load_geometry_config(path) -> dict:
             continue
         sep = "=" if "=" in line else (":" if ":" in line else None)
         if sep is None:
-            raise ConfigError(f"config {path}:{lineno}: expected key = value, got {_shown(raw)}")
+            raise ConfigError(f"config {shown}:{lineno}: expected key = value, got {_shown(raw)}")
         pairs.append([part.strip() for part in line.split(sep, 1)])
     return _unique_keys(pairs)

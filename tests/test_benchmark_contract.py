@@ -49,3 +49,19 @@ def test_certify_sweep_cases_pass_the_benchmark_checker(seed):
         report = json.loads(json.dumps(certifier.certificate_to_jsonable(cert)))
         g = checks.Geom(case.geom.d, case.geom.c2h, case.geom.known)
         checks.check_certificate_json(report, g, case.mode, case.bounds)
+
+
+def test_every_result_count_takes_the_size_of_a_live_result():
+    # The tracer applies each layer's size function (len) to what its targets return: a
+    # target that returned an iterator would fail every traced run, so it fails here first.
+    quintic = bgcert.geometry.from_preset("quintic")
+    cert = certifier.certificate_to_jsonable(certifier.certify_theorem(quintic))
+    argument = {"certifier.case2_check": quintic, "certifier.enumerate_candidates": quintic,
+                "serialize.json_dumps": cert}
+    assert set(tracing.RESULT_COUNTS) == set(argument)
+    targets = tracing.span_targets(bgcert)
+    for layer, (_, size) in tracing.RESULT_COUNTS.items():
+        live = [getattr(owner, attr) for owner, attr in targets[layer] if _live(owner, attr)]
+        assert live, layer
+        for target in live:
+            assert size(target(argument[layer])) > 0, (layer, target)

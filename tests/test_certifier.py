@@ -32,7 +32,6 @@ from bgcert.certifier import (
     candidate_ranks,
     case1_check,
     case2_check,
-    case2_rows,
     case3_bound,
     certificate_to_jsonable,
     certify_theorem,
@@ -194,15 +193,6 @@ def test_case2_default_bound_is_one_constant_per_degree():
         assert all(row.chi_min == default_chi_min(geom, row.beta) for row in rows)
         assert all((row.ch3_bound, row.ok) == fraction_case2_row(geom, row.beta, row.chi_min)
                    for row in rows)
-
-
-def test_case2_rows_checks_the_bounds_at_the_call_and_makes_rows_as_read():
-    with pytest.raises(BetaOutOfRange):
-        case2_rows(QUINTIC, [CurveBound(3, 0)])  # never iterated
-    # Half a trillion rows, of which only the first two are made.
-    rows = case2_rows(PolarizedCY3.derive(10**12 + 2, 12), [CurveBound(2, 0)])
-    assert next(rows) == Case2Row(1, 166666666666, Q(0), True, "default")
-    assert next(rows) == Case2Row(2, 0, Q(10**12 - 10, 6), False, "supplied")
 
 
 def test_supplied_case2_rows_are_the_bounds_alone_by_degree():

@@ -38,7 +38,7 @@ from bgcert.cli import (
 )
 from bgcert.chern import ChernVector
 from bgcert.geometry import CONFIG_MAX_BYTES, PRESETS, CurveBound, PolarizedCY3, from_preset
-from bgcert.rationals import to_jsonable
+from bgcert.rationals import _shown, to_jsonable
 
 
 def run(capsys, *argv):
@@ -215,10 +215,12 @@ def test_enumerate_memory_stays_below_its_output(flags):
 
 def test_enumerate_keeps_only_the_tails_that_ranks_3_and_up_share():
     # The tails below rank 3's floor ceil(d/3) serve ranks 1 and 2 alone, and are made per
-    # block: the traced peak is about 390 kB, against 1,073 kB with every tail kept.
+    # block: the traced peak is about 380 kB, against 550 kB with the tails kept from d/4
+    # and 1,073 kB with every tail kept. With none kept it is 47 kB, and the rows take
+    # about 3 times as long to write.
     peak, chars = _traced(lambda: render_enumerate(PolarizedCY3.derive(20001, 6), True))
     assert chars == 6_369_021
-    assert peak < 600_000
+    assert 250_000 < peak < 470_000
 
 
 def test_certify_memory_stays_below_its_output():
@@ -271,6 +273,15 @@ def test_enumerate_writes_a_block_per_call(as_json):
         render_enumerate(PolarizedCY3.derive(20001, 6), as_json)
     assert certifier.candidate_count(20001) == 107_517
     assert sink.writes == -(-107_517 // 256) + 1
+
+
+def test_certify_writes_its_candidates_a_block_per_call():
+    # The same writer as enumerate's: the 107,517 pairs and the 10,000 Case 2 rows at
+    # d = 20001 one write per 256 rows, plus the rendering before, between and after them.
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        main(["certify", "--d", "20001", "--c2h", "6"])
+    assert sink.writes == -(-107_517 // 256) + -(-10_000 // 256) + 3
 
 
 class _BlockSink:
@@ -391,7 +402,8 @@ def test_certify_json_round_trip(capsys):
 
 
 def test_certify_report_makes_the_supplied_case2_rows_alone(monkeypatch):
-    # Near the candidate limit there are 17,666 Case 2 degrees; the report holds three.
+    # Near the candidate limit there are 17,666 Case 2 degrees; a certify process makes
+    # the three supplied rows as records, once, and writes the rest from the closed form.
     made = []
 
     class CountedRow(certifier.Case2Row):
@@ -402,10 +414,10 @@ def test_certify_report_makes_the_supplied_case2_rows_alone(monkeypatch):
             super().__init__(*values)
 
     monkeypatch.setattr(certifier, "Case2Row", CountedRow)
-    bounds = [CurveBound(8833, -2944), CurveBound(2, 0), CurveBound(1, 5888)]
-    report = build_certify_report(PolarizedCY3.derive(35333, 2), None, bounds, "auto")
-    assert made == [1, 2, 8833]
-    assert (report["case2"], report["violated_betas"]) == ("<case2>", [2])
+    bounds = ["--curve-bound=8833:-2944", "--curve-bound=2:0", "--curve-bound=1:5888"]
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert main(["certify", "--d", "35333", "--c2h", "2", *bounds]) == 2
+    assert made == [1, 2, 8833]  # beta = 2 is violated: exit 2
 
 
 def _assert_certify_is_held_certificate(capsys, argv, geom, preset, bounds, mode):
@@ -606,13 +618,15 @@ def test_config_file_flags_win(capsys, tmp_path):
 
 
 def test_config_file_missing(capsys, tmp_path):
-    code, _, err = run(capsys, "geom", "--config", str(tmp_path / "nope.json"))
+    path = str(tmp_path / "nope.json")
+    code, _, err = run(capsys, "geom", "--config", path)
     assert code == 3
+    assert err == f"error: ConfigError: config {_shown(path)}: No such file or directory\n"
 
 
 def test_config_file_nested_too_deeply(tmp_path):
     path = tmp_path / "deep.json"
-    path.write_text("[" * 100000)
+    path.write_text("[" * 50000)  # under the 64 KiB cap, so the JSON parser reads it
     proc = subprocess.run(
         [sys.executable, "-m", "bgcert", "geom", "--config", str(path)],
         capture_output=True,
@@ -621,7 +635,8 @@ def test_config_file_nested_too_deeply(tmp_path):
     )
     assert proc.returncode == 3
     assert b"Traceback" not in proc.stderr
-    assert str(path).encode() in proc.stderr
+    want = f"error: ConfigError: config {_shown(str(path))}: JSON nested too deeply\n"
+    assert proc.stderr == want.encode()
 
 
 _OVER_THE_DIGIT_LIMIT = "1" + "0" * sys.get_int_max_str_digits()  # int() refuses it
@@ -639,8 +654,8 @@ def test_config_integer_over_the_digit_limit_is_exit_3(capsys, tmp_path, config,
     path.write_text(config)
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert (code, out) == (3, "")
-    assert err == f"error: ConfigError: {message.format(path=path)}\n"
-    assert len(err.replace(str(path), "PATH").encode()) < 200  # the value is not echoed in full
+    assert err == f"error: ConfigError: {message.format(path=_shown(str(path)))}\n"
+    assert len(err.encode()) < 200  # neither the value nor the path is echoed in full
 
 
 def test_import_loads_no_code_generating_modules():
@@ -759,7 +774,8 @@ def test_input_branches_end_in_their_line(capsys, tmp_path, argv, config, code, 
     (["--preset", "", "--d", "5", "--c2h", "50"], "error: ConfigError: give either --preset or "
      "a custom geometry (--d/--c2h/--config), not both"),
     (["--preset", ""], "error: UnknownPreset: unknown preset ''; available: ci223, ci24, quintic"),
-    (["--config", "", "--preset", "quintic"], "error: FileNotFoundError: "),
+    (["--config", "", "--preset", "quintic"],
+     "error: ConfigError: config '': No such file or directory"),
 ], ids=["preset-with-flags", "preset-alone", "config-with-preset"])
 def test_an_empty_preset_or_config_is_given_not_absent(capsys, argv, line):
     code, out, err = run(capsys, "geom", *argv)
@@ -794,7 +810,7 @@ def test_config_file_not_utf8_is_exit_3(capsys, tmp_path):
     path.write_bytes("d = 5\nc2h = 50  # caf\u00e9\n".encode("latin-1"))
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert code == 3 and out == ""
-    assert err == (f"error: ConfigError: config {path}: not UTF-8: byte 0xe9 at position 21: "
+    assert err == (f"error: ConfigError: config {_shown(str(path))}: not UTF-8: byte 0xe9 at position 21: "
                    "invalid continuation byte\n")
 
 
@@ -803,7 +819,7 @@ def test_config_file_not_utf8_after_a_bom_counts_the_bom(capsys, tmp_path):
     path.write_bytes(b"\xef\xbb\xbfd = 5\n\xff")
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert (code, out) == (3, "")
-    assert err == (f"error: ConfigError: config {path}: not UTF-8: byte 0xff at position 9: "
+    assert err == (f"error: ConfigError: config {_shown(str(path))}: not UTF-8: byte 0xff at position 9: "
                    "invalid start byte\n")
 
 
@@ -813,7 +829,7 @@ def test_config_from_dev_zero_is_exit_3_at_once(capsys):
     code, out, err = run(capsys, "geom", "--config", "/dev/zero")
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
-    assert err == "error: ConfigError: config /dev/zero: not a regular file\n"
+    assert err == "error: ConfigError: config '/dev/zero': not a regular file\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
@@ -828,7 +844,7 @@ def test_config_from_a_fifo_with_no_writer_is_exit_3(tmp_path):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (3, b"")
-    assert proc.stderr == f"error: ConfigError: config {path}: not a regular file\n".encode()
+    assert proc.stderr == f"error: ConfigError: config {_shown(str(path))}: not a regular file\n".encode()
 
 
 @pytest.mark.parametrize("config", ["d = 5\nc2h = 50\n", '{"d": 5, "c2h": 50}'],
@@ -842,7 +858,7 @@ def test_config_at_the_cap_reads_and_one_byte_over_is_exit_3(capsys, tmp_path, c
     path.write_bytes(config.encode().ljust(CONFIG_MAX_BYTES + 1, b" "))
     code, out, err = run(capsys, "geom", "--config", str(path))
     assert (code, out) == (3, "")
-    assert err == f"error: ConfigError: config {path}: longer than the cap of 65536 bytes\n"
+    assert err == f"error: ConfigError: config {_shown(str(path))}: longer than the cap of 65536 bytes\n"
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
@@ -1122,23 +1138,40 @@ def _one_long_usage_error(draw):
     return ["eval", "--op", value, "--preset", "quintic", "--ch", "1,1,0,0"], None
 
 
+@st.composite
+def _one_long_path(draw):
+    """(argv, (name, made)) for a --config path of that name in an empty directory: 5,000
+    characters with nothing there, or a name with a newline made as a directory or as a
+    file with a line that is not key = value."""
+    command = draw(st.sampled_from(["geom", "enumerate", "certify"]))
+    if draw(st.booleans()):
+        return [command], (draw(_LONG), None)
+    name = draw(st.sampled_from(["a\nb", "\n", "geom.cfg\n"]))
+    return [command], (name, draw(st.sampled_from(["directory", "d 5\n"])))
+
+
 @settings(deadline=None)
 @given(_one_long_value().map(lambda case: (*case, "error: "))
+       | _one_long_path().map(lambda case: (*case, "error: ConfigError: config "))
        | _one_long_usage_error().map(lambda case: (*case, "bgcert: error: ")))
 def test_a_long_typed_value_gives_one_short_error_line(case):
     # Every typed value is quoted by one rule, so the error line stays short however long
-    # the value; so is every word a usage error echoes.
+    # the value; so is the --config path, and every word a usage error echoes.
     argv, config, prefix = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "geom.cfg")
         if config is not None:
-            with open(path, "w", encoding="utf-8") as file:
-                file.write(config)
+            name, made = config if isinstance(config, tuple) else ("geom.cfg", config)
+            path = os.path.join(tmp, name)
+            if made == "directory":
+                os.mkdir(path)
+            elif made is not None:  # else nothing is there
+                with open(path, "w", encoding="utf-8") as file:
+                    file.write(made)
             argv = [*argv, "--config", path]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    line = err.getvalue().replace(path, "")
+    line = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, line)
     if code != 3:  # a filler that a config file reads as a comment or blank leaves a verdict
         assert line == ""

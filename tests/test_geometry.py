@@ -39,6 +39,7 @@ from bgcert.geometry import (
     geometry_from_config,
     load_geometry_config,
 )
+from bgcert.rationals import _shown
 
 # Geometries generated through the Riemann-Roch identity: chi(O(H)) = chi,
 # c2XH = 12 chi - 2d always gives a valid record.
@@ -335,7 +336,7 @@ def test_load_geometry_config_bad_line(tmp_path):
     path.write_text("d = 5\nc2h 50\n")
     with pytest.raises(ConfigError) as err:
         load_geometry_config(path)
-    assert str(err.value) == f"config {path}:2: expected key = value, got 'c2h 50'"
+    assert str(err.value) == f"config {_shown(str(path))}:2: expected key = value, got 'c2h 50'"
 
 
 @pytest.mark.parametrize("line,value", [("d = 5 = 5", "5 = 5"), ("d: 5: 5", "5: 5")])
